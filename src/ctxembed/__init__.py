@@ -49,11 +49,9 @@ from ctxembed.terms import (
     Var,
     match,
     merge,
-    mgu,
     positions,
     replace,
     subterm,
-    substitute,
 )
 from ctxembed.translate import psi
 
@@ -85,7 +83,6 @@ __all__ = [
     "jump",
     "match",
     "merge",
-    "mgu",
     "parse_context",
     "parse_posce",
     "parse_position",
@@ -100,7 +97,6 @@ __all__ = [
     "psi",
     "replace",
     "subterm",
-    "substitute",
     "td",
     "unfold",
     "unify",

@@ -32,17 +32,18 @@ from ctxembed.strategy import (
     Strat,
     SVar,
     ValidationFailure,
+    alpha_rename,
     bound_vars,
     eval_strategy,
     free_vars,
     jump,
     mu_iterate,
+    nodes,
     subst_var,
     td,
     unfold,
     validate,
 )
-from ctxembed.strategy import alpha_rename
 from ctxembed.syntax import print_posce, print_strategy, print_term
 from ctxembed.terms import (
     DEFAULT_SIGNATURE,
@@ -242,31 +243,6 @@ def gen_strategy(cfg: GenConfig, index: int) -> Strat:
     return _strat(rng, cfg, cfg.max_strategy_depth, cfg.max_mu_nesting, ())
 
 
-def admissible(s: Strat) -> bool:
-    """True when the engine's input gate accepts ``s``."""
-    v = validate(s)
-    if not (v.closed and v.monotone and v.linear and v.well_founded):
-        return False
-
-    def eps_ok(node: Strat) -> bool:
-        if isinstance(node, Conj):
-            for idx, b in node.entries:
-                if idx is None and not isinstance(b, Ins):
-                    return False
-                if not eps_ok(b):
-                    return False
-            return True
-        if isinstance(node, (Guard, Most, Mu)):
-            return eps_ok(node.body)
-        if isinstance(node, Choice):
-            return eps_ok(node.left) and eps_ok(node.right)
-        if isinstance(node, IfThen):
-            return eps_ok(node.cond) and eps_ok(node.body)
-        return True
-
-    return eps_ok(s)
-
-
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -379,10 +355,8 @@ def check_unfold_oracle(
     theorem only when every binder body makes frontier progress; on other
     inputs this reports the (real) disagreements it finds.
     """
-    for side in (s, r):
-        v = validate(side)
-        if not (v.closed and v.monotone and v.linear and v.well_founded):
-            raise ValidationFailure("the unfolding oracle needs engine-admissible inputs")
+    if not (validate(s).ok and validate(r).ok):
+        raise ValidationFailure("the unfolding oracle needs engine-admissible inputs")
     sig = dict(DEFAULT_SIGNATURE) if signature is None else signature
     su = unfold(s, {name: n for name in bound_vars(s)})
     ru = unfold(r, {name: n for name in bound_vars(r)})
@@ -409,7 +383,7 @@ def _binder_bodies_progress(s: Strat, sig: Signature) -> bool:
     still succeed on some constant make extra unfoldings observable there,
     which is exactly the class the unfolding equivalence excludes.
     """
-    for node in _walk(s):
+    for node in nodes(s):
         if isinstance(node, Mu):
             probe = node.body
             for name in free_vars(probe):
@@ -417,21 +391,6 @@ def _binder_bodies_progress(s: Strat, sig: Signature) -> bool:
             if any(eval_strategy(probe, App(c)) is not None for c in _constants(sig)):
                 return False
     return True
-
-
-def _walk(s: Strat):
-    yield s
-    if isinstance(s, (Guard, Most, Mu)):
-        yield from _walk(s.body)
-    elif isinstance(s, Choice):
-        yield from _walk(s.left)
-        yield from _walk(s.right)
-    elif isinstance(s, Conj):
-        for _, b in s.entries:
-            yield from _walk(b)
-    elif isinstance(s, IfThen):
-        yield from _walk(s.cond)
-        yield from _walk(s.body)
 
 
 def _progressing_stream(cfg: GenConfig, count: int) -> list[Strat]:

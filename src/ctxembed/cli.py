@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Commands: apply, unify, combine, psi, check, unfold, verify.  Exit codes:
-0 success, 1 strategy failure or law violation, 2 usage or parse error.  A
-parse error writes a line/column diagnostic to stderr and nothing to stdout.
+0 success, 1 strategy failure or law violation, 2 usage or parse error, or
+input nested too deeply for the command.  A parse error writes a line/column
+diagnostic to stderr and nothing to stdout; input nested too deeply writes a
+one-line diagnostic to stderr and nothing to stdout.
 The --term/--strategy/--left/--right values name a file when one exists at
 that path and are parsed as inline text otherwise.
 """
@@ -15,6 +17,7 @@ import os
 import re
 import sys
 import time
+from dataclasses import fields
 from typing import Callable, Optional
 
 from ctxembed.checks import (
@@ -25,19 +28,15 @@ from ctxembed.checks import (
     check_theorem2,
     suite_unfold,
 )
-from ctxembed.engine import _check_eps_entries, combine, unify
+from ctxembed.engine import combine, unify
 from ctxembed.strategy import (
     Guard,
     Ins,
-    Mu,
-    Choice,
-    Conj,
-    IfThen,
-    Most,
     Strat,
     ValidationFailure,
     bound_vars,
     eval_strategy,
+    nodes,
     unfold,
     validate,
 )
@@ -128,22 +127,11 @@ def _read_signature(path: str) -> Signature:
 def _embedded_terms(s: Strat) -> list[CtxTerm]:
     """Guard patterns and insertion context bodies, for signature inference."""
     out: list[CtxTerm] = []
-    stack = [s]
-    while stack:
-        node = stack.pop()
+    for node in nodes(s):
         if isinstance(node, Guard):
             out.append(node.pattern)
-            stack.append(node.body)
         elif isinstance(node, Ins):
             out.append(node.ctx.body)
-        elif isinstance(node, (Most, Mu)):
-            stack.append(node.body)
-        elif isinstance(node, Choice):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, IfThen):
-            stack.extend((node.cond, node.body))
-        elif isinstance(node, Conj):
-            stack.extend(b for _, b in node.entries)
     return out
 
 
@@ -236,21 +224,9 @@ def _cmd_psi(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     s = _parse(parse_strategy, args.strategy, "strategy")
     v = validate(s)
-    try:
-        _check_eps_entries(s)
-        eps_ok = True
-    except ValidationFailure:
-        eps_ok = False
-    report = [
-        ("closed", v.closed),
-        ("monotone", v.monotone),
-        ("linear", v.linear),
-        ("well-founded", v.well_founded),
-        ("insertion-entries", eps_ok),
-    ]
-    for name, ok in report:
-        print(f"{name}: {'ok' if ok else 'violated'}")
-    return 0 if all(ok for _, ok in report) else 1
+    for f in fields(v):
+        print(f"{f.name.replace('_', '-')}: {'ok' if getattr(v, f.name) else 'violated'}")
+    return 0 if v.ok else 1
 
 
 def _cmd_unfold(args: argparse.Namespace) -> int:
@@ -361,6 +337,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.run(args)
     except _Diag as err:
         print(err, file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(f"{args.command}: input nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -21,7 +21,6 @@ tree depth) pair.  A violation raises ``EngineError`` instead of looping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 from ctxembed.strategy import (
@@ -99,30 +98,6 @@ def phi(s: Strat) -> frozenset:
     the result is finite because unfolding only ever reintroduces ``s``.
     """
     return _closure(s, _unfold_once)
-
-
-@lru_cache(maxsize=None)
-def phi_mu(s: Strat) -> frozenset:
-    """Syntactic fixed-point subterms (binder bodies are not unfolded)."""
-    if isinstance(s, Mu):
-        return frozenset({s}) | phi_mu(s.body)
-    if isinstance(s, Guard) or isinstance(s, Most):
-        return phi_mu(s.body)
-    if isinstance(s, Choice):
-        return phi_mu(s.left) | phi_mu(s.right)
-    if isinstance(s, Conj):
-        out: frozenset = frozenset()
-        for _, b in s.entries:
-            out |= phi_mu(b)
-        return out
-    if isinstance(s, IfThen):
-        return phi_mu(s.cond) | phi_mu(s.body)
-    return frozenset()
-
-
-def phi_mu_star(s: Strat) -> frozenset:
-    """Fixed-point elements of the reduction closure of ``s``."""
-    return frozenset(x for x in phi(s) if isinstance(x, Mu))
 
 
 # ---------------------------------------------------------------------------
@@ -382,24 +357,6 @@ def _names_in(s: Strat) -> set[str]:
     return names
 
 
-def _check_eps_entries(s: Strat) -> None:
-    if isinstance(s, Conj):
-        for i, b in s.entries:
-            if i is None and not isinstance(b, Ins):
-                raise ValidationFailure(
-                    "conjunction entries at the root must be insertions"
-                )
-            _check_eps_entries(b)
-    elif isinstance(s, (Guard, Most, Mu)):
-        _check_eps_entries(s.body)
-    elif isinstance(s, Choice):
-        _check_eps_entries(s.left)
-        _check_eps_entries(s.right)
-    elif isinstance(s, IfThen):
-        _check_eps_entries(s.cond)
-        _check_eps_entries(s.body)
-
-
 def _require_valid(s: Strat, side: str) -> None:
     v = validate(s)
     if not v.closed:
@@ -410,7 +367,8 @@ def _require_valid(s: Strat, side: str) -> None:
         raise ValidationFailure(f"{side} strategy is not linear")
     if not v.well_founded:
         raise ValidationFailure(f"{side} strategy has a malformed conjunction")
-    _check_eps_entries(s)
+    if not v.insertion_entries:
+        raise ValidationFailure("conjunction entries at the root must be insertions")
 
 
 def _rename_fresh(s: Strat, used: set[str]) -> Strat:

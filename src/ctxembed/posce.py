@@ -23,8 +23,6 @@ from ctxembed.terms import (
     Term,
     has_position,
     merge,
-    parallel,
-    prefix_le,
     replace,
     subterm,
 )
@@ -50,18 +48,6 @@ def _order_key(p: Position) -> tuple:
     # strict descendants sort before their ancestors, parallel positions
     # lexicographically: append an infinite sentinel and compare
     return p + (float("inf"),)
-
-
-def is_well_founded(e: PosCE) -> bool:
-    """Positions pairwise distinct, with no entry preceding a descendant."""
-    ps = [p for p, _ in e.entries]
-    if len(set(ps)) != len(ps):
-        return False
-    for i, p in enumerate(ps):
-        for q in ps[i + 1 :]:
-            if prefix_le(p, q):
-                return False
-    return True
 
 
 def canonicalize(e: PosCE) -> PosCE:

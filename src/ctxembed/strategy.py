@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Optional, Union
+from itertools import count
+from operator import is_, itemgetter
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 from ctxembed.terms import (
     _HASH_FIELD,
@@ -123,22 +125,29 @@ def jump(p: Position, body: Strat) -> Strat:
     return out
 
 
+# one entry per constructor: a lookup on the exact type is cheaper than a
+# chain of isinstance tests, and every generic pass goes through here
+_CHILDREN: dict[type, Callable[[Strat], tuple[Strat, ...]]] = {
+    SFail: lambda s: (),
+    SVar: lambda s: (),
+    Ins: lambda s: (),
+    Guard: lambda s: (s.body,),
+    Choice: lambda s: (s.left, s.right),
+    Mu: lambda s: (s.body,),
+    Conj: lambda s: tuple(map(itemgetter(1), s.entries)),
+    Most: lambda s: (s.body,),
+    IfThen: lambda s: (s.cond, s.body),
+}
+
+
 def children(s: Strat) -> tuple[Strat, ...]:
     """The immediate sub-strategies of ``s``, left to right."""
-    if isinstance(s, (Guard, Most, Mu)):
-        return (s.body,)
-    if isinstance(s, Choice):
-        return (s.left, s.right)
-    if isinstance(s, IfThen):
-        return (s.cond, s.body)
-    if isinstance(s, Conj):
-        return tuple(b for _, b in s.entries)
-    return ()
+    return _CHILDREN[type(s)](s)
 
 
 def rebuild(s: Strat, kids: tuple[Strat, ...]) -> Strat:
     """``s`` with its sub-strategies replaced; ``s`` itself when none changed."""
-    if all(k is c for k, c in zip(kids, children(s))):
+    if all(map(is_, kids, children(s))):
         return s
     if isinstance(s, Guard):
         return Guard(s.pattern, kids[0])
@@ -153,6 +162,15 @@ def rebuild(s: Strat, kids: tuple[Strat, ...]) -> Strat:
     return Conj(tuple((i, k) for (i, _), k in zip(s.entries, kids)))
 
 
+def nodes(s: Strat) -> Iterator[Strat]:
+    """Every node of ``s``, ``s`` first; siblings come out right to left."""
+    stack = [s]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(children(node))
+
+
 # ---------------------------------------------------------------------------
 # variables and substitution
 # ---------------------------------------------------------------------------
@@ -162,39 +180,14 @@ def rebuild(s: Strat, kids: tuple[Strat, ...]) -> Strat:
 def free_vars(s: Strat) -> frozenset[str]:
     if isinstance(s, SVar):
         return frozenset({s.name})
-    if isinstance(s, Guard):
-        return free_vars(s.body)
-    if isinstance(s, Choice):
-        return free_vars(s.left) | free_vars(s.right)
-    if isinstance(s, Mu):
-        return free_vars(s.body) - {s.var}
-    if isinstance(s, Conj):
-        out: frozenset[str] = frozenset()
-        for _, b in s.entries:
-            out |= free_vars(b)
-        return out
-    if isinstance(s, Most):
-        return free_vars(s.body)
-    if isinstance(s, IfThen):
-        return free_vars(s.cond) | free_vars(s.body)
-    return frozenset()
+    out: frozenset[str] = frozenset()
+    for c in children(s):
+        out |= free_vars(c)
+    return out - {s.var} if isinstance(s, Mu) else out
 
 
 def bound_vars(s: Strat) -> set[str]:
-    if isinstance(s, Guard) or isinstance(s, Most):
-        return bound_vars(s.body)
-    if isinstance(s, Choice):
-        return bound_vars(s.left) | bound_vars(s.right)
-    if isinstance(s, Mu):
-        return {s.var} | bound_vars(s.body)
-    if isinstance(s, Conj):
-        out: set[str] = set()
-        for _, b in s.entries:
-            out |= bound_vars(b)
-        return out
-    if isinstance(s, IfThen):
-        return bound_vars(s.cond) | bound_vars(s.body)
-    return set()
+    return {node.var for node in nodes(s) if isinstance(node, Mu)}
 
 
 def subst_var(s: Strat, var: str, rep: Strat) -> Strat:
@@ -210,15 +203,11 @@ def subst_var(s: Strat, var: str, rep: Strat) -> Strat:
 
 
 @lru_cache(maxsize=4096)
-def _iterate(var: str, body: Strat, n: int) -> Strat:
-    if n <= 0:
-        return FAIL_S
-    return subst_var(body, var, _iterate(var, body, n - 1))
-
-
 def mu_iterate(var: str, body: Strat, n: int) -> Strat:
     """The n-th iterate of a binder body: 0 is failure, n+1 substitutes n."""
-    return _iterate(var, body, n)
+    if n <= 0:
+        return FAIL_S
+    return subst_var(body, var, mu_iterate(var, body, n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -298,93 +287,73 @@ def td(s: Strat) -> Strat:
 
 @dataclass(frozen=True, slots=True)
 class Validation:
+    """The side conditions the reduction engine needs, one field each."""
+
     closed: bool
     monotone: bool
     linear: bool
     well_founded: bool
+    insertion_entries: bool
 
     @property
     def ok(self) -> bool:
-        return self.closed and self.monotone and self.linear and self.well_founded
-
-
-def _monotone(s: Strat, pending: frozenset[str]) -> bool:
-    """No variable in ``pending`` may occur before crossing a child index."""
-    if isinstance(s, SVar):
-        return s.name not in pending
-    if isinstance(s, Guard):
-        return _monotone(s.body, pending)
-    if isinstance(s, Choice):
-        return _monotone(s.left, pending) and _monotone(s.right, pending)
-    if isinstance(s, Mu):
-        return _monotone(s.body, pending | {s.var})
-    if isinstance(s, Conj):
-        return all(
-            _monotone(b, frozenset() if i is not None else pending) for i, b in s.entries
+        return (
+            self.closed
+            and self.monotone
+            and self.linear
+            and self.well_founded
+            and self.insertion_entries
         )
-    if isinstance(s, Most):
-        return _monotone(s.body, frozenset())
-    if isinstance(s, IfThen):
-        return _monotone(s.cond, pending) and _monotone(s.body, pending)
+
+
+def _monotone_at(m: Mu) -> bool:
+    """The binder's variable occurs only past a child index (numbered entry or most)."""
+    stack = [m.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, SVar) and node.name == m.var:
+            return False
+        if isinstance(node, Conj):
+            stack.extend(b for i, b in node.entries if i is None)
+        elif not isinstance(node, Most):
+            stack.extend(children(node))
     return True
 
 
 def _count_occurrences(s: Strat, var: str) -> int:
     if isinstance(s, SVar):
-        return 1 if s.name == var else 0
-    if isinstance(s, Guard) or isinstance(s, Most):
-        return _count_occurrences(s.body, var)
-    if isinstance(s, Choice):
-        return _count_occurrences(s.left, var) + _count_occurrences(s.right, var)
-    if isinstance(s, Mu):
-        return 0 if s.var == var else _count_occurrences(s.body, var)
-    if isinstance(s, Conj):
-        return sum(_count_occurrences(b, var) for _, b in s.entries)
-    if isinstance(s, IfThen):
-        return _count_occurrences(s.cond, var) + _count_occurrences(s.body, var)
-    return 0
+        return int(s.name == var)
+    if isinstance(s, Mu) and s.var == var:
+        return 0
+    n = 0
+    for c in children(s):
+        n += _count_occurrences(c, var)
+    return n
 
 
-def _linear(s: Strat) -> bool:
-    if isinstance(s, Mu):
-        return _count_occurrences(s.body, s.var) == 1 and _linear(s.body)
-    if isinstance(s, Guard) or isinstance(s, Most):
-        return _linear(s.body)
-    if isinstance(s, Choice):
-        return _linear(s.left) and _linear(s.right)
-    if isinstance(s, Conj):
-        return all(_linear(b) for _, b in s.entries)
-    if isinstance(s, IfThen):
-        return _linear(s.cond) and _linear(s.body)
-    return True
-
-
-def _well_founded(s: Strat) -> bool:
-    if isinstance(s, Conj):
-        idxs = [i for i, _ in s.entries]
-        if len(set(idxs)) != len(idxs):
-            return False
-        if None in idxs and idxs.index(None) != len(idxs) - 1:
-            return False
-        return all(_well_founded(b) for _, b in s.entries)
-    if isinstance(s, Guard) or isinstance(s, Most):
-        return _well_founded(s.body)
-    if isinstance(s, Choice):
-        return _well_founded(s.left) and _well_founded(s.right)
-    if isinstance(s, Mu):
-        return _well_founded(s.body)
-    if isinstance(s, IfThen):
-        return _well_founded(s.cond) and _well_founded(s.body)
-    return True
+def _well_founded_at(c: Conj) -> bool:
+    """The map's indices are distinct, and a root entry comes last."""
+    idxs = [i for i, _ in c.entries]
+    return len(set(idxs)) == len(idxs) and (None not in idxs or idxs[-1] is None)
 
 
 def validate(s: Strat) -> Validation:
     """Check the structural side conditions the reduction engine relies on."""
+    binders: list[Mu] = []
+    maps: list[Conj] = []
+    for node in nodes(s):
+        if isinstance(node, Mu):
+            binders.append(node)
+        elif isinstance(node, Conj):
+            maps.append(node)
     return Validation(
         closed=not free_vars(s),
-        monotone=_monotone(s, frozenset()),
-        linear=_linear(s),
-        well_founded=_well_founded(s),
+        monotone=all(map(_monotone_at, binders)),
+        linear=all(_count_occurrences(m.body, m.var) == 1 for m in binders),
+        well_founded=all(map(_well_founded_at, maps)),
+        insertion_entries=all(
+            isinstance(b, Ins) for c in maps for i, b in c.entries if i is None
+        ),
     )
 
 
@@ -396,37 +365,23 @@ def validate(s: Strat) -> Validation:
 @lru_cache(maxsize=None)
 def star_height(s: Strat) -> int:
     """Deepest nesting of fixed-point binders."""
-    if isinstance(s, Mu):
-        return 1 + star_height(s.body)
-    if isinstance(s, Guard) or isinstance(s, Most):
-        return star_height(s.body)
-    if isinstance(s, Choice):
-        return max(star_height(s.left), star_height(s.right))
-    if isinstance(s, Conj):
-        return max((star_height(b) for _, b in s.entries), default=0)
-    if isinstance(s, IfThen):
-        return max(star_height(s.cond), star_height(s.body))
-    return 0
+    h = 0
+    for c in children(s):
+        h = max(h, star_height(c))
+    return h + 1 if isinstance(s, Mu) else h
 
 
 @lru_cache(maxsize=None)
 def tree_depth(s: Strat) -> int:
     """Constructor depth ignoring binders; Most counts as a conjunction of jumps."""
-    if isinstance(s, Ins):
-        return 1
-    if isinstance(s, Guard):
-        return 1 + tree_depth(s.body)
-    if isinstance(s, Choice):
-        return 1 + max(tree_depth(s.left), tree_depth(s.right))
+    if isinstance(s, (SFail, SVar)):
+        return 0
+    d = 0
+    for c in children(s):
+        d = max(d, tree_depth(c))
     if isinstance(s, Mu):
-        return tree_depth(s.body)
-    if isinstance(s, Conj):
-        return 1 + max((tree_depth(b) for _, b in s.entries), default=0)
-    if isinstance(s, Most):
-        return 2 + tree_depth(s.body)
-    if isinstance(s, IfThen):
-        return 1 + max(tree_depth(s.cond), tree_depth(s.body))
-    return 0
+        return d
+    return d + 2 if isinstance(s, Most) else d + 1
 
 
 def delta(s: Strat) -> tuple[int, int]:
@@ -434,38 +389,8 @@ def delta(s: Strat) -> tuple[int, int]:
     return (star_height(s), tree_depth(s))
 
 
-def pi_count(var: str, s: Strat) -> int:
-    """Fewest child-index crossings on a path from the root to ``var``."""
-
-    def walk(node: Strat) -> list[int]:
-        if isinstance(node, SVar):
-            return [0] if node.name == var else []
-        if isinstance(node, Guard):
-            return walk(node.body)
-        if isinstance(node, Choice):
-            return walk(node.left) + walk(node.right)
-        if isinstance(node, Mu):
-            return [] if node.var == var else walk(node.body)
-        if isinstance(node, Conj):
-            out: list[int] = []
-            for i, b in node.entries:
-                cost = 0 if i is None else 1
-                out.extend(cost + c for c in walk(b))
-            return out
-        if isinstance(node, Most):
-            return [1 + c for c in walk(node.body)]
-        if isinstance(node, IfThen):
-            return walk(node.cond) + walk(node.body)
-        return []
-
-    costs = walk(s)
-    if not costs:
-        raise ValueError(f"variable {var} does not occur")
-    return min(costs)
-
-
 # ---------------------------------------------------------------------------
-# unfolding, equivalence, simplification
+# unfolding and simplification
 # ---------------------------------------------------------------------------
 
 
@@ -475,27 +400,7 @@ def unfold(s: Strat, counts: Mapping[str, int]) -> Strat:
         if s.var not in counts:
             raise KeyError(f"no unfold count for {s.var}")
         return mu_iterate(s.var, unfold(s.body, counts), counts[s.var])
-    if isinstance(s, Guard):
-        return Guard(s.pattern, unfold(s.body, counts))
-    if isinstance(s, Choice):
-        return Choice(unfold(s.left, counts), unfold(s.right, counts))
-    if isinstance(s, Conj):
-        return Conj(tuple((i, unfold(b, counts)) for i, b in s.entries))
-    if isinstance(s, Most):
-        return Most(unfold(s.body, counts))
-    if isinstance(s, IfThen):
-        return IfThen(unfold(s.cond, counts), unfold(s.body, counts))
-    return s
-
-
-def equiv_upto(s1: Strat, s2: Strat, n: int, sig: Optional[dict[str, int]] = None) -> bool:
-    """Semantic equality over every term of depth <= n."""
-    from ctxembed.terms import DEFAULT_SIGNATURE, terms_up_to_depth
-
-    for t in terms_up_to_depth(sig if sig is not None else DEFAULT_SIGNATURE, n):
-        if eval_strategy(s1, t) != eval_strategy(s2, t):
-            return False
-    return True
+    return rebuild(s, tuple([unfold(c, counts) for c in children(s)]))
 
 
 def fails_on_constants(s: Strat) -> bool:
@@ -558,64 +463,39 @@ def simplify(s: Strat) -> Strat:
 # ---------------------------------------------------------------------------
 
 
+def _rename_binders(s: Strat, pick: Callable[[str], str]) -> Strat:
+    """Rename every binder to ``pick(old name)``, in pre-order."""
+
+    def walk(node: Strat, env: dict[str, str]) -> Strat:
+        if isinstance(node, SVar):
+            return SVar(env[node.name]) if node.name in env else node
+        if isinstance(node, Mu):
+            new = pick(node.var)
+            return Mu(new, walk(node.body, {**env, node.var: new}))
+        return rebuild(node, tuple([walk(c, env) for c in children(node)]))
+
+    return walk(s, {})
+
+
 def alpha_rename(s: Strat, avoid: set[str]) -> Strat:
     """Rename binders so no bound name lies in ``avoid``; deterministic."""
     taken = set(avoid) | free_vars(s)
 
     def fresh(base: str) -> str:
-        if base not in taken:
-            return base
-        k = 2
-        while f"{base}{k}" in taken:
-            k += 1
-        return f"{base}{k}"
+        name, k = base, 2
+        while name in taken:
+            name, k = f"{base}{k}", k + 1
+        taken.add(name)
+        return name
 
-    def walk(node: Strat, env: dict[str, str]) -> Strat:
-        if isinstance(node, SVar):
-            return SVar(env.get(node.name, node.name))
-        if isinstance(node, Guard):
-            return Guard(node.pattern, walk(node.body, env))
-        if isinstance(node, Choice):
-            return Choice(walk(node.left, env), walk(node.right, env))
-        if isinstance(node, Mu):
-            new = fresh(node.var)
-            taken.add(new)
-            inner = dict(env)
-            inner[node.var] = new
-            return Mu(new, walk(node.body, inner))
-        if isinstance(node, Conj):
-            return Conj(tuple((i, walk(b, env)) for i, b in node.entries))
-        if isinstance(node, Most):
-            return Most(walk(node.body, env))
-        if isinstance(node, IfThen):
-            return IfThen(walk(node.cond, env), walk(node.body, env))
-        return node
-
-    return walk(s, {})
-
-
-def _alpha_canon(s: Strat, env: dict[str, str], counter: list[int]) -> Strat:
-    if isinstance(s, SVar):
-        return SVar(env.get(s.name, s.name))
-    if isinstance(s, Guard):
-        return Guard(s.pattern, _alpha_canon(s.body, env, counter))
-    if isinstance(s, Choice):
-        return Choice(_alpha_canon(s.left, env, counter), _alpha_canon(s.right, env, counter))
-    if isinstance(s, Mu):
-        name = f"V{counter[0]}"
-        counter[0] += 1
-        inner = dict(env)
-        inner[s.var] = name
-        return Mu(name, _alpha_canon(s.body, inner, counter))
-    if isinstance(s, Conj):
-        return Conj(tuple((i, _alpha_canon(b, env, counter)) for i, b in s.entries))
-    if isinstance(s, Most):
-        return Most(_alpha_canon(s.body, env, counter))
-    if isinstance(s, IfThen):
-        return IfThen(_alpha_canon(s.cond, env, counter), _alpha_canon(s.body, env, counter))
-    return s
+    return _rename_binders(s, fresh)
 
 
 def alpha_eq(s1: Strat, s2: Strat) -> bool:
     """Equality up to consistent renaming of bound variables."""
-    return _alpha_canon(s1, {}, [0]) == _alpha_canon(s2, {}, [0])
+
+    def canon(s: Strat) -> Strat:
+        numbers = count()
+        return _rename_binders(s, lambda _: f"V{next(numbers)}")
+
+    return canon(s1) == canon(s2)

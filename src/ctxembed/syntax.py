@@ -38,6 +38,7 @@ from ctxembed.strategy import (
     SFail,
     Strat,
     SVar,
+    jump,
 )
 from ctxembed.terms import HOLE, App, Context, Hole, Position, Term, Var
 
@@ -206,7 +207,7 @@ class _Parser:
             self.next()
             p = self.position()
             self.expect(".")
-            return _jump(p, self.seq())
+            return jump(p, self.seq())
         return self.atom()
 
     def atom(self) -> Strat:
@@ -251,15 +252,7 @@ class _Parser:
         body = self.strat()
         if not p:
             return (None, body)
-        return (p[0], _jump(p[1:], body) if len(p) > 1 else body)
-
-
-def _jump(p: Position, body: Strat) -> Strat:
-    if not p:
-        return Conj(((None, body),))
-    for i in reversed(p):
-        body = Conj(((i, body),))
-    return body
+        return (p[0], jump(p[1:], body) if len(p) > 1 else body)
 
 
 def parse_term(text: str) -> Term:

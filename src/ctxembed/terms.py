@@ -1,4 +1,4 @@
-"""First-order terms, positions, one-hole contexts, matching and unification.
+"""First-order terms, positions, one-hole contexts and matching.
 
 Terms are immutable trees over a signature of fixed-arity symbols, plus named
 pattern variables.  Positions are tuples of 1-based child indices; the empty
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Optional, Union
 
 
 class PositionError(ValueError):
@@ -141,30 +141,9 @@ def arity_at_root(t: CtxTerm) -> int:
     return len(t.args) if isinstance(t, App) else 0
 
 
-def prefix_le(p: Position, q: Position) -> bool:
-    """True when ``p`` is a (possibly equal) prefix of ``q``."""
-    return len(p) <= len(q) and q[: len(p)] == p
-
-
-def parallel(p: Position, q: Position) -> bool:
-    """True when neither position prefixes the other."""
-    return not prefix_le(p, q) and not prefix_le(q, p)
-
-
 # ---------------------------------------------------------------------------
-# matching, substitution, unification
+# matching
 # ---------------------------------------------------------------------------
-
-
-def vars_of(t: CtxTerm) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, App):
-        out: set[str] = set()
-        for c in t.args:
-            out |= vars_of(c)
-        return out
-    return set()
 
 
 def match(pattern: Term, subject: Term) -> Optional[Substitution]:
@@ -189,65 +168,6 @@ def match(pattern: Term, subject: Term) -> Optional[Substitution]:
         return False
 
     return binding if walk(pattern, subject) else None
-
-
-def substitute(t: CtxTerm, sigma: Mapping[str, Term]) -> CtxTerm:
-    if isinstance(t, Var):
-        return sigma.get(t.name, t)
-    if isinstance(t, App):
-        return App(t.head, tuple(substitute(c, sigma) for c in t.args))
-    return t
-
-
-def _occurs(name: str, t: Term, sigma: Substitution) -> bool:
-    if isinstance(t, Var):
-        if t.name == name:
-            return True
-        bound = sigma.get(t.name)
-        return bound is not None and _occurs(name, bound, sigma)
-    return any(_occurs(name, c, sigma) for c in t.args)
-
-
-def _resolve(t: Term, sigma: Substitution) -> Term:
-    while isinstance(t, Var) and t.name in sigma:
-        t = sigma[t.name]
-    return t
-
-
-def mgu(t1: Term, t2: Term) -> Optional[Substitution]:
-    """Most general unifier of two terms, with occurs check.
-
-    >>> mgu(Var("x"), App("f", (Var("x"),))) is None
-    True
-    """
-    sigma: Substitution = {}
-    work = [(t1, t2)]
-    while work:
-        u, v = work.pop()
-        u, v = _resolve(u, sigma), _resolve(v, sigma)
-        if u == v:
-            continue
-        if isinstance(u, Var):
-            if _occurs(u.name, v, sigma):
-                return None
-            sigma[u.name] = v
-        elif isinstance(v, Var):
-            if _occurs(v.name, u, sigma):
-                return None
-            sigma[v.name] = u
-        elif u.head == v.head and len(u.args) == len(v.args):
-            work.extend(zip(u.args, v.args))
-        else:
-            return None
-    return {name: substitute(t, sigma) for name, t in _ground_closure(sigma)}
-
-
-def _ground_closure(sigma: Substitution) -> Iterator[tuple[str, Term]]:
-    for name, t in sigma.items():
-        out = substitute(t, sigma)
-        while out != t:
-            t, out = out, substitute(out, sigma)
-        yield name, t
 
 
 # ---------------------------------------------------------------------------

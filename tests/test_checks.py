@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from ctxembed.checks import (
     GenConfig,
     _binder_bodies_progress,
-    admissible,
     check_algebra,
     check_homomorphism,
     check_stabilization,
@@ -45,6 +44,7 @@ from ctxembed.strategy import (
     ValidationFailure,
     eval_strategy,
     jump,
+    nodes,
     star_height,
     td,
     tree_depth,
@@ -61,8 +61,9 @@ from ctxembed.terms import (
     Var,
     check_signature,
     depth,
+    positions,
+    subterm,
     terms_up_to_depth,
-    vars_of,
 )
 from ctxembed.translate import psi
 
@@ -72,21 +73,6 @@ TAU_P = Context(App("list", (HOLE, App("j"))))
 # The guarded-descent pair: insert under a matching guard, else move to child 1.
 XI = Mu("X", Choice(Guard(App("g", (Var("x"), Var("x"))), Ins(TAU)), jump((1,), SVar("X"))))
 XI2 = Mu("Y", Choice(Guard(App("g", (Var("x"), App("b"))), Ins(TAU_P)), jump((1,), SVar("Y"))))
-
-
-def _nodes(s):
-    yield s
-    if isinstance(s, (Guard, Most, Mu)):
-        yield from _nodes(s.body)
-    elif isinstance(s, Choice):
-        yield from _nodes(s.left)
-        yield from _nodes(s.right)
-    elif isinstance(s, Conj):
-        for _, b in s.entries:
-            yield from _nodes(b)
-    elif isinstance(s, IfThen):
-        yield from _nodes(s.cond)
-        yield from _nodes(s.body)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +91,7 @@ def test_gen_term_deterministic_bounded_ground():
         t = gen_term(cfg, i)
         assert t == gen_term(GenConfig(), i)
         assert depth(t) <= cfg.max_term_depth
-        assert not vars_of(t)
+        assert not any(isinstance(subterm(t, p), Var) for p in positions(t))
         check_signature(t, cfg.signature)
 
 
@@ -131,9 +117,7 @@ def test_gen_strategy_always_validates():
     cfg = GenConfig()
     for i in range(400):
         s = gen_strategy(cfg, i)
-        v = validate(s)
-        assert v.closed and v.monotone and v.linear and v.well_founded, i
-        assert admissible(s), i
+        assert validate(s).ok, i
         assert tree_depth(s) <= cfg.max_strategy_depth, i
         assert star_height(s) <= cfg.max_mu_nesting, i
         assert s == gen_strategy(GenConfig(), i)
@@ -143,14 +127,14 @@ def test_gen_strategy_covers_every_constructor():
     cfg = GenConfig()
     seen = set()
     for i in range(600):
-        for node in _nodes(gen_strategy(cfg, i)):
+        for node in nodes(gen_strategy(cfg, i)):
             seen.add(type(node).__name__)
     assert {"SFail", "SVar", "Ins", "Guard", "Choice", "Mu", "Conj", "Most", "IfThen"} <= seen
 
 
 def test_gen_strategy_grammar_admits_guarded_descent():
-    assert admissible(XI)
-    assert admissible(XI2)
+    assert validate(XI).ok
+    assert validate(XI2).ok
     # and the generator does reach fixed points over guarded alternatives
     cfg = GenConfig()
     assert any(
@@ -160,9 +144,9 @@ def test_gen_strategy_grammar_admits_guarded_descent():
 
 
 def test_admissible_rejects_non_insertion_root_entries():
-    assert not admissible(Conj(((None, Guard(App("a"), Ins(TAU))),)))
-    assert admissible(Conj(((None, Ins(TAU)),)))
-    assert not admissible(SVar("X"))
+    assert not validate(Conj(((None, Guard(App("a"), Ins(TAU))),))).ok
+    assert validate(Conj(((None, Ins(TAU)),))).ok
+    assert not validate(SVar("X")).ok
 
 
 def test_engine_accepts_generated_strategies():

@@ -181,6 +181,20 @@ def test_psi_of_a_failing_strategy(capsys):
     assert out.strip() == "fail"
 
 
+@pytest.mark.parametrize(
+    "command, strategy",
+    [("apply", "ins <f([])>"), ("psi", "mu X. a ; ins <f([])> + @1.X")],
+)
+def test_input_nested_too_deeply_is_a_usage_error(tmp_path, capsys, command, strategy):
+    # printing the result (apply) or translating (psi) recurses once per level
+    term = tmp_path / "deep.term"
+    term.write_text("f(" * 400 + "a" + ")" * 400)
+    code, out, err = run(capsys, command, "--term", str(term), "--strategy", strategy)
+    assert code == 2
+    assert out == ""
+    assert err == f"{command}: input nested too deeply\n"
+
+
 def test_check_reports_ok_for_an_admissible_strategy(capsys):
     code, out, _ = run(capsys, "check", "--strategy", "mu X. a ; ins <[]> + @1.X")
     assert code == 0

@@ -1,14 +1,15 @@
 """The prioritized reduction system that unifies two strategies."""
 
+from dataclasses import fields
+
 import pytest
 
+from ctxembed import cli
 from ctxembed import engine as engine_module
 from ctxembed.engine import (
     EngineError,
     combine,
     phi,
-    phi_mu,
-    phi_mu_star,
     unify,
 )
 from ctxembed.strategy import (
@@ -27,6 +28,7 @@ from ctxembed.strategy import (
     jump,
     validate,
 )
+from ctxembed.syntax import parse_strategy
 from ctxembed.terms import HOLE, App, Context, MergePolicy, Var, merge
 
 
@@ -75,19 +77,6 @@ def test_phi_of_loop():
 def test_phi_of_guard():
     s = Guard(U, Ins(TAU))
     assert phi(s) == frozenset({s, Ins(TAU)})
-
-
-def test_phi_mu_is_syntactic():
-    inner = Mu("Y", jump((1,), SVar("X")))
-    outer = Mu("X", inner)
-    assert phi_mu(outer) == frozenset({outer, inner})
-    assert len(phi_mu(outer)) == 2
-
-
-def test_phi_mu_star_filters_closure():
-    s = Mu("X", jump((1,), SVar("X")))
-    assert phi_mu_star(s) == frozenset({s})
-    assert phi_mu_star(Ins(TAU)) == frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +351,34 @@ def test_malformed_conjunctions_are_rejected():
     eps_first = Conj(((None, Ins(TAU)), (1, Ins(TAU_P))))
     with pytest.raises(ValidationFailure):
         unify(eps_first, Ins(TAU))
+
+
+# each input violates exactly one of the five conditions
+GATE_CASES = [
+    ("@1.X", "closed", "{side} strategy is open: ['X']"),
+    ("mu X. ins <[]> + X", "monotone", "{side} strategy is not monotone"),
+    ("mu X. [@1.X, @2.X]", "linear", "{side} strategy is not linear"),
+    ("[@1.ins <[]>, @1.ins <f([])>]", "well_founded", "{side} strategy has a malformed conjunction"),
+    ("[@eps.(a ; ins <[]>)]", "insertion_entries", "conjunction entries at the root must be insertions"),
+]
+
+
+@pytest.mark.parametrize("text, field, message", GATE_CASES, ids=[c[1] for c in GATE_CASES])
+def test_gate_reports_the_one_violated_condition(text, field, message, capsys):
+    s = parse_strategy(text)
+    with pytest.raises(ValidationFailure) as left:
+        unify(s, Ins(TAU))
+    with pytest.raises(ValidationFailure) as right:
+        unify(Ins(TAU), s)
+    assert str(left.value) == message.format(side="left")
+    assert str(right.value) == message.format(side="right")
+    v = validate(s)
+    assert [f.name for f in fields(v) if not getattr(v, f.name)] == [field]
+    assert not v.ok
+    assert cli.main(["check", "--strategy", text]) == 1
+    report = capsys.readouterr().out.splitlines()
+    assert len(report) == 5
+    assert f"{field.replace('_', '-')}: violated" in report
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from ctxembed.posce import (
     canonicalize,
     combine_pos,
     eq_pos,
-    is_well_founded,
     unify_pos,
 )
 from ctxembed.terms import App, Context, HOLE, MergePolicy, terms_up_to_depth, DEFAULT_SIGNATURE
@@ -34,24 +33,8 @@ def pce(*entries):
 
 
 # ---------------------------------------------------------------------------
-# well-foundedness and canonical order
+# canonical order
 # ---------------------------------------------------------------------------
-
-
-def test_well_founded_descendants_first():
-    assert is_well_founded(pce(((1, 1), TAU_I), ((1,), TAU_J), ((), TAU_I)))
-
-
-def test_not_well_founded_root_first():
-    assert not is_well_founded(pce(((), TAU_I), ((1,), TAU_J)))
-
-
-def test_not_well_founded_duplicates():
-    assert not is_well_founded(pce(((1,), TAU_I), ((1,), TAU_J)))
-
-
-def test_fail_is_well_founded():
-    assert is_well_founded(FAIL_PCE)
 
 
 def test_canonicalize_orders_descendants_before_ancestors():
@@ -66,7 +49,7 @@ def test_canonicalize_parallel_lexicographic():
 
 def test_canonical_output_is_well_founded():
     e = pce(((), TAU_I), ((2,), TAU_J), ((1, 2), TAU_I), ((1,), TAU_J))
-    assert is_well_founded(canonicalize(e))
+    assert canonicalize(e) == pce(((1, 2), TAU_I), ((1,), TAU_J), ((2,), TAU_J), ((), TAU_I))
 
 
 # ---------------------------------------------------------------------------

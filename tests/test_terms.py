@@ -16,15 +16,10 @@ from ctxembed.terms import (
     infer_signature,
     match,
     merge,
-    mgu,
-    parallel,
     positions,
-    prefix_le,
     replace,
     subterm,
-    substitute,
     terms_up_to_depth,
-    vars_of,
 )
 
 
@@ -137,21 +132,6 @@ def test_replace_then_subterm_roundtrip(t, s):
 
 
 # ---------------------------------------------------------------------------
-# position relations
-# ---------------------------------------------------------------------------
-
-
-def test_prefix_and_parallel():
-    assert prefix_le((), (1, 2))
-    assert prefix_le((1,), (1, 2))
-    assert not prefix_le((1, 2), (1,))
-    assert parallel((1,), (2,))
-    assert parallel((1, 2), (1, 3))
-    assert not parallel((1,), (1, 2))
-    assert not parallel((), (1,))
-
-
-# ---------------------------------------------------------------------------
 # matching and substitution
 # ---------------------------------------------------------------------------
 
@@ -173,42 +153,18 @@ def test_match_symbol_clash():
     assert match(a(), b()) is None
 
 
-def test_substitute():
-    u = g(Var("x"), f(Var("y")))
-    assert substitute(u, {"x": a(), "y": b()}) == g(a(), f(b()))
+def _instantiate(u, sigma):
+    """``u`` with each pattern variable replaced by its value in ``sigma``."""
+    if isinstance(u, Var):
+        return sigma[u.name]
+    return App(u.head, tuple(_instantiate(c, sigma) for c in u.args))
 
 
 @given(pattern_terms, st.dictionaries(st.sampled_from("xyz"), ground_terms))
 def test_match_after_substitute_succeeds(u, sigma):
-    full = {v: sigma.get(v, a()) for v in vars_of(u)}
-    t = substitute(u, full)
-    got = match(u, t)
-    assert got == {v: full[v] for v in vars_of(u)}
-
-
-# ---------------------------------------------------------------------------
-# most general unifier
-# ---------------------------------------------------------------------------
-
-
-def test_mgu_example():
-    sigma = mgu(g(Var("x"), b()), g(a(), Var("y")))
-    assert sigma == {"x": a(), "y": b()}
-
-
-def test_mgu_occurs_check():
-    assert mgu(Var("x"), f(Var("x"))) is None
-
-
-def test_mgu_clash():
-    assert mgu(f(a()), f(b())) is None
-
-
-@given(pattern_terms, pattern_terms)
-def test_mgu_unifies(u, v):
-    sigma = mgu(u, v)
-    if sigma is not None:
-        assert substitute(u, sigma) == substitute(v, sigma)
+    nodes = [subterm(u, p) for p in positions(u)]
+    full = {v.name: sigma.get(v.name, a()) for v in nodes if isinstance(v, Var)}
+    assert match(u, _instantiate(u, full)) == full
 
 
 # ---------------------------------------------------------------------------
