@@ -8,7 +8,9 @@ contexts at the positions it reaches.  The constructors:
 * ``Ins(tau)``      -- embed context ``tau`` at the current position
 * ``Guard(u, S)``   -- run ``S`` when the subject matches pattern ``u``
 * ``Choice(l, r)``  -- left-biased alternative
-* ``Mu(X, S)``      -- fixed point; on ``t`` it iterates ``S`` depth(t) times
+* ``Mu(X, S)``      -- fixed point; on ``t`` it means ``S`` iterated depth(t)
+                       times (``mu_iterate``), run with ``X`` bound in an
+                       environment instead of substituted
 * ``Conj(entries)`` -- apply sub-strategies at child indices (``None`` = here),
                        skipping failures, failing only when all entries fail
 * ``Most(S)``       -- apply ``S`` at every immediate child where it succeeds
@@ -175,8 +177,12 @@ def nodes(s: Strat) -> Iterator[Strat]:
 # variables and substitution
 # ---------------------------------------------------------------------------
 
+# The memo tables of free_vars, star_height and tree_depth live as long as the
+# process, so each keeps at most this many strategies.
+_CACHE_SIZE = 1 << 14
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def free_vars(s: Strat) -> frozenset[str]:
     if isinstance(s, SVar):
         return frozenset({s.name})
@@ -204,7 +210,13 @@ def subst_var(s: Strat, var: str, rep: Strat) -> Strat:
 
 @lru_cache(maxsize=4096)
 def mu_iterate(var: str, body: Strat, n: int) -> Strat:
-    """The n-th iterate of a binder body: 0 is failure, n+1 substitutes n."""
+    """The n-th iterate of a binder body: 0 is failure, n+1 substitutes n.
+
+    This is the reference semantics of fixed points: ``Mu(var, body)`` on
+    ``t`` means ``mu_iterate(var, body, depth(t))`` on ``t``.  Evaluation
+    and the translation use an environment instead; the stabilization and
+    unfolding suites compare them against this definition.
+    """
     if n <= 0:
         return FAIL_S
     return subst_var(body, var, mu_iterate(var, body, n - 1))
@@ -215,55 +227,88 @@ def mu_iterate(var: str, body: Strat, n: int) -> Strat:
 # ---------------------------------------------------------------------------
 
 
+# A fixed-point variable's binding: the binder body, the environment the
+# binder ran in, and how many more times reaching the variable may run it.
+Env = dict[str, tuple[Strat, "Env", int]]
+
+
 def eval_strategy(s: Strat, t: Term) -> Optional[Term]:
-    """Run a closed strategy on a term; None is failure."""
-    if isinstance(s, SFail):
-        return None
-    if isinstance(s, SVar):
-        raise ValidationFailure(f"cannot evaluate open strategy (free {s.name})")
-    if isinstance(s, Ins):
-        return s.ctx.fill(t)
-    if isinstance(s, Guard):
-        return eval_strategy(s.body, t) if match(s.pattern, t) is not None else None
-    if isinstance(s, Choice):
-        got = eval_strategy(s.left, t)
-        return got if got is not None else eval_strategy(s.right, t)
-    if isinstance(s, Mu):
-        return eval_strategy(mu_iterate(s.var, s.body, depth(t)), t)
-    if isinstance(s, IfThen):
-        if eval_strategy(s.cond, t) is None:
+    """Run a closed strategy on a term; None is failure.
+
+    Fixed points run in an environment: ``Mu(X, S)`` on ``t`` fails when
+    depth(t) is 0 and otherwise runs ``S`` with ``X`` bound to ``S``, the
+    binder's environment and depth(t) - 1 iterations left.  Reaching ``X``
+    runs ``S`` in that environment with one iteration fewer, and fails when
+    none are left.  The result is that of the substituted iterate
+    ``mu_iterate(X, S, depth(t))``, the reference semantics, which is never
+    built here.
+    """
+    return _eval(s, t, {})
+
+
+def _eval(s: Strat, t: Term, env: Env) -> Optional[Term]:
+    # Tail positions rebind s and env and loop instead of recursing, so an
+    # unfolding costs no Python frame of its own.
+    while True:
+        if isinstance(s, Conj):
+            return _eval_conj(s.entries, t, env)
+        if isinstance(s, Choice):
+            got = _eval(s.left, t, env)
+            if got is not None:
+                return got
+            s = s.right
+        elif isinstance(s, SVar):
+            name = s.name
+            if name not in env:
+                raise ValidationFailure(f"cannot evaluate open strategy (free {name})")
+            s, defined, left = env[name]
+            if left == 0:
+                return None
+            env = {**defined, name: (s, defined, left - 1)}
+        elif isinstance(s, Ins):
+            return s.ctx.fill(t)
+        elif isinstance(s, Guard):
+            if match(s.pattern, t) is None:
+                return None
+            s = s.body
+        elif isinstance(s, Mu):
+            n = depth(t)
+            if n == 0:
+                return None
+            env = {**env, s.var: (s.body, env, n - 1)}
+            s = s.body
+        elif isinstance(s, Most):
+            ar = arity_at_root(t)
+            if ar == 0:
+                return None
+            return _eval_conj(tuple((i, s.body) for i in range(1, ar + 1)), t, env)
+        elif isinstance(s, IfThen):
+            if _eval(s.cond, t, env) is None:
+                return None
+            s = s.body
+        elif isinstance(s, SFail):
             return None
-        return eval_strategy(s.body, t)
-    if isinstance(s, Conj):
-        return _eval_conj(s.entries, t)
-    if isinstance(s, Most):
-        ar = arity_at_root(t)
-        if ar == 0:
-            return None
-        return _eval_conj(tuple((i, s.body) for i in range(1, ar + 1)), t)
-    raise TypeError(f"not a strategy: {s!r}")
+        else:
+            raise TypeError(f"not a strategy: {s!r}")
 
 
-def _entry_apply(idx: Optional[int], body: Strat, subject: Term) -> Optional[Term]:
-    if idx is None:
-        return eval_strategy(body, subject)
-    if not isinstance(subject, App) or not 1 <= idx <= len(subject.args):
-        return None
-    got = eval_strategy(body, subject.args[idx - 1])
-    if got is None:
-        return None
-    args = subject.args[: idx - 1] + (got,) + subject.args[idx:]
-    return App(subject.head, args)
-
-
-def _eval_conj(entries: tuple[tuple[Optional[int], Strat], ...], t: Term) -> Optional[Term]:
+def _eval_conj(
+    entries: tuple[tuple[Optional[int], Strat], ...], t: Term, env: Env
+) -> Optional[Term]:
     # The entries apply left to right to the running result, and the map fails
     # only when every entry fails on the unmodified input.  Until the first
     # entry succeeds the running result is that input, so one pass evaluates
     # each entry once and settles both the gate and the result.
     out, hit = t, False
     for i, b in entries:
-        got = _entry_apply(i, b, out)
+        if i is None:
+            got = _eval(b, out, env)
+        elif isinstance(out, App) and 1 <= i <= len(out.args):
+            got = _eval(b, out.args[i - 1], env)
+            if got is not None:
+                got = App(out.head, out.args[: i - 1] + (got,) + out.args[i:])
+        else:
+            continue
         if got is not None:
             out, hit = got, True
     return out if hit else None
@@ -362,7 +407,7 @@ def validate(s: Strat) -> Validation:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def star_height(s: Strat) -> int:
     """Deepest nesting of fixed-point binders."""
     h = 0
@@ -371,7 +416,7 @@ def star_height(s: Strat) -> int:
     return h + 1 if isinstance(s, Mu) else h
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def tree_depth(s: Strat) -> int:
     """Constructor depth ignoring binders; Most counts as a conjunction of jumps."""
     if isinstance(s, (SFail, SVar)):

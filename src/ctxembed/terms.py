@@ -62,6 +62,7 @@ class App:
     head: str
     args: tuple["CtxTerm", ...] = ()
     _hash: Optional[int] = field(**_HASH_FIELD)
+    _depth: Optional[int] = field(**_HASH_FIELD)
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,10 +132,20 @@ def has_position(t: CtxTerm, p: Position) -> bool:
 
 
 def depth(t: CtxTerm) -> int:
-    """Depth of a term: 0 for variables and constants, 1+max over children."""
-    if not isinstance(t, App) or not t.args:
+    """Depth of a term: 0 for variables and constants, 1+max over children.
+
+    Computed once per node and kept on it, since every fixed point asks for
+    the depth of the subterm it starts on.
+    """
+    if not isinstance(t, App):
         return 0
-    return 1 + max(depth(c) for c in t.args)
+    d = t._depth
+    if d is None:
+        d = 0
+        for c in t.args:
+            d = max(d, 1 + depth(c))
+        object.__setattr__(t, "_depth", d)
+    return d
 
 
 def arity_at_root(t: CtxTerm) -> int:
@@ -175,42 +186,34 @@ def match(pattern: Term, subject: Term) -> Optional[Substitution]:
 # ---------------------------------------------------------------------------
 
 
-def _hole_count(t: CtxTerm) -> int:
+def _hole_positions(t: CtxTerm) -> list[Position]:
+    """Positions of every hole in ``t``, in pre-order."""
     if isinstance(t, Hole):
-        return 1
-    if isinstance(t, App):
-        return sum(_hole_count(c) for c in t.args)
-    return 0
+        return [EPSILON]
+    found: list[Position] = []
+    if isinstance(t, App) and t.args:
+        i = 0
+        for c in t.args:
+            i += 1
+            for p in _hole_positions(c):
+                found.append((i,) + p)
+    return found
 
 
 @cached_hash
 @dataclass(frozen=True, slots=True)
 class Context:
-    """A term with exactly one hole."""
+    """A term with exactly one hole, at ``hole_position``."""
 
     body: CtxTerm
     _hash: Optional[int] = field(**_HASH_FIELD)
+    hole_position: Position = field(default=EPSILON, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = _hole_count(self.body)
-        if n != 1:
-            raise ValueError(f"context must contain exactly one hole, found {n}")
-
-    @property
-    def hole_position(self) -> Position:
-        def find(t: CtxTerm, here: Position) -> Optional[Position]:
-            if isinstance(t, Hole):
-                return here
-            if isinstance(t, App):
-                for i, c in enumerate(t.args, start=1):
-                    got = find(c, here + (i,))
-                    if got is not None:
-                        return got
-            return None
-
-        found = find(self.body, EPSILON)
-        assert found is not None
-        return found
+        found = _hole_positions(self.body)
+        if len(found) != 1:
+            raise ValueError(f"context must contain exactly one hole, found {len(found)}")
+        object.__setattr__(self, "hole_position", found[0])
 
     def fill(self, t: Term) -> Term:
         """Embed ``t`` at the hole."""

@@ -12,6 +12,7 @@ from ctxembed.posce import FAIL_PCE, PosCE, canonicalize
 from ctxembed.strategy import (
     Choice,
     Conj,
+    Env,
     Guard,
     IfThen,
     Ins,
@@ -21,39 +22,68 @@ from ctxembed.strategy import (
     Strat,
     SVar,
     ValidationFailure,
-    mu_iterate,
 )
 from ctxembed.terms import App, Position, Term, arity_at_root, depth, match, merge
 
 
 def psi(s: Strat, t: Term) -> PosCE:
-    """Position-indexed form of ``s`` specialized to the subject ``t``."""
-    if isinstance(s, SFail):
-        return FAIL_PCE
-    if isinstance(s, SVar):
-        raise ValidationFailure(f"cannot translate open strategy (free {s.name})")
-    if isinstance(s, Ins):
-        return PosCE((((), s.ctx),))
-    if isinstance(s, Guard):
-        return psi(s.body, t) if match(s.pattern, t) is not None else FAIL_PCE
-    if isinstance(s, Choice):
-        left = psi(s.left, t)
-        return left if not left.is_fail else psi(s.right, t)
-    if isinstance(s, Mu):
-        return psi(mu_iterate(s.var, s.body, depth(t)), t)
-    if isinstance(s, IfThen):
-        return psi(s.body, t) if not psi(s.cond, t).is_fail else FAIL_PCE
-    if isinstance(s, Conj):
-        return _entries(s.entries, t)
-    if isinstance(s, Most):
-        ar = arity_at_root(t)
-        if ar == 0:
+    """Position-indexed form of ``s`` specialized to the subject ``t``.
+
+    Fixed points unfold in an environment, as in ``eval_strategy`` but on a
+    path of their own: ``Mu(X, S)`` on ``t`` binds ``X`` to ``S``, the
+    binder's environment and depth(t) - 1 iterations left, and each use of
+    ``X`` spends one.  The reference semantics is the substituted iterate
+    ``mu_iterate(X, S, depth(t))``.
+    """
+    return _psi(s, t, {})
+
+
+def _psi(s: Strat, t: Term, env: Env) -> PosCE:
+    # tail positions loop instead of recursing, as in the evaluator
+    while True:
+        if isinstance(s, Conj):
+            return _entries(s.entries, t, env)
+        if isinstance(s, Choice):
+            left = _psi(s.left, t, env)
+            if not left.is_fail:
+                return left
+            s = s.right
+        elif isinstance(s, SVar):
+            name = s.name
+            if name not in env:
+                raise ValidationFailure(f"cannot translate open strategy (free {name})")
+            s, defined, left = env[name]
+            if left == 0:
+                return FAIL_PCE
+            env = {**defined, name: (s, defined, left - 1)}
+        elif isinstance(s, Ins):
+            return PosCE((((), s.ctx),))
+        elif isinstance(s, Guard):
+            if match(s.pattern, t) is None:
+                return FAIL_PCE
+            s = s.body
+        elif isinstance(s, Mu):
+            n = depth(t)
+            if n == 0:
+                return FAIL_PCE
+            env = {**env, s.var: (s.body, env, n - 1)}
+            s = s.body
+        elif isinstance(s, Most):
+            ar = arity_at_root(t)
+            if ar == 0:
+                return FAIL_PCE
+            return _entries(tuple((i, s.body) for i in range(1, ar + 1)), t, env)
+        elif isinstance(s, IfThen):
+            if _psi(s.cond, t, env).is_fail:
+                return FAIL_PCE
+            s = s.body
+        elif isinstance(s, SFail):
             return FAIL_PCE
-        return _entries(tuple((i, s.body) for i in range(1, ar + 1)), t)
-    raise TypeError(f"not a strategy: {s!r}")
+        else:
+            raise TypeError(f"not a strategy: {s!r}")
 
 
-def _entries(entries, t: Term) -> PosCE:
+def _entries(entries, t: Term, env: Env) -> PosCE:
     collected: list[tuple[Position, object]] = []
     succeeded = False
     for i, body in entries:
@@ -65,7 +95,7 @@ def _entries(entries, t: Term) -> PosCE:
                 continue
             prefix = (i,)
             subject = t.args[i - 1]
-        sub = psi(body, subject)
+        sub = _psi(body, subject, env)
         if sub.is_fail:
             continue
         succeeded = True

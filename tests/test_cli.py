@@ -186,9 +186,12 @@ def test_psi_of_a_failing_strategy(capsys):
     [("apply", "ins <f([])>"), ("psi", "mu X. a ; ins <f([])> + @1.X")],
 )
 def test_input_nested_too_deeply_is_a_usage_error(tmp_path, capsys, command, strategy):
-    # printing the result (apply) or translating (psi) recurses once per level
+    # printing the result (apply) or translating (psi) recurses once per
+    # level; parsing reaches further, so the limit hit is past the parser
+    text = "f(" * 700 + "a" + ")" * 700
+    parse_term(text)
     term = tmp_path / "deep.term"
-    term.write_text("f(" * 400 + "a" + ")" * 400)
+    term.write_text(text)
     code, out, err = run(capsys, command, "--term", str(term), "--strategy", strategy)
     assert code == 2
     assert out == ""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ctxembed.checks import GenConfig, _gen_fixed_point, gen_strategy, gen_term
 from ctxembed.engine import unify
 from ctxembed.strategy import (
     Choice,
@@ -13,6 +14,7 @@ from ctxembed.strategy import (
     Most,
     Mu,
     SVar,
+    ValidationFailure,
     alpha_eq,
     alpha_rename,
     bound_vars,
@@ -32,7 +34,7 @@ from ctxembed.strategy import (
     validate,
 )
 from ctxembed.syntax import parse_strategy, parse_term, print_term
-from ctxembed.terms import App, Context, HOLE, Var
+from ctxembed.terms import App, Context, HOLE, Var, depth
 
 
 def a():
@@ -231,6 +233,63 @@ def test_eval_mu_depth_cutoff_at_leaves():
     assert eval_strategy(mu_iterate("X", body, 2), f(a())) == f(list2(a(), App("i")))
 
 
+# ---------------------------------------------------------------------------
+# fixed points in an environment, against the substituted iterate
+# ---------------------------------------------------------------------------
+
+# (strategy, term, result worked out by hand)
+ENVIRONMENT_CASES = [
+    # the inner X shadows the outer one: on f(f(b)) it gets 1 iteration of
+    # its own body, while @2.X reruns the whole outer map on g(b,a)
+    (
+        "mu X. [@1.((mu X. (f(b) ; ins <f([])>) + @1.X)), @2.((a ; ins <f([])>) + X)]",
+        "g(f(f(b)),g(b,a))",
+        "g(f(f(f(b))),g(b,f(a)))",
+    ),
+    # X is used inside Y's binder and keeps its own count: X restarts Y on
+    # g(f(a),b) with 1 iteration left, Y continues on g(b,f(b)) with 1
+    (
+        "mu X. mu Y. (f(?x) ; ins <f([])>) + [@1.X, @2.Y]",
+        "g(g(f(a),b),g(b,f(b)))",
+        "g(g(f(f(a)),b),g(b,f(f(b))))",
+    ),
+    # the iterations run out one level above the leaf the guard waits for
+    ("mu X. a ; ins <f([])> + @1.X", "f(f(a))", None),
+]
+
+
+@pytest.mark.parametrize("text, term, expected", ENVIRONMENT_CASES)
+def test_eval_fixed_point_in_an_environment(text, term, expected):
+    s, t = parse_strategy(text), parse_term(term)
+    got = eval_strategy(s, t)
+    assert (None if got is None else print_term(got)) == expected
+    assert got == eval_strategy(mu_iterate(s.var, s.body, depth(t)), t)
+
+
+def test_eval_environment_agrees_with_substitution_on_generated_fixed_points():
+    cfg = GenConfig(seed=5, max_term_depth=4, max_mu_nesting=3)
+    # every fixed point fails on a constant, on either side
+    terms = [t for t in (gen_term(cfg, j) for j in range(800)) if depth(t) > 0]
+    checked = 0
+    for i in range(200):
+        binders = [_gen_fixed_point(cfg, i)]
+        binders += [m for m in nodes(gen_strategy(cfg, i)) if isinstance(m, Mu) and not free_vars(m)]
+        for m in binders:
+            for t in (terms[i % len(terms)], terms[(i + 1) % len(terms)]):
+                assert eval_strategy(m, t) == eval_strategy(mu_iterate(m.var, m.body, depth(t)), t)
+                checked += 1
+    assert checked >= 500
+
+
+def test_eval_reaches_a_300_deep_spine():
+    # two Python frames per term level (a map and its entry), none per unfolding
+    s = parse_strategy("mu X. a ; ins <f([])> + @1.X")
+    t = a()
+    for _ in range(300):
+        t = f(t)
+    assert eval_strategy(s, t) is None
+
+
 def test_td_applies_at_root():
     s = td(Ins(TAU_I))
     assert eval_strategy(s, f(a())) == list2(f(a()), App("i"))
@@ -245,6 +304,30 @@ def test_td_applies_below_root():
 def test_eval_open_strategy_rejected():
     with pytest.raises(ValueError):
         eval_strategy(SVar("X"), a())
+
+
+def test_eval_open_variable_keeps_its_message():
+    with pytest.raises(ValidationFailure, match=r"^cannot evaluate open strategy \(free X\)$"):
+        eval_strategy(Mu("Y", Conj(((1, SVar("X")),))), f(a()))
+
+
+def test_eval_free_variable_is_not_captured_by_an_inner_binder():
+    # substituting the iterate, which holds the free Y, under mu Y would bind
+    # it there; in the environment it stays free
+    s = parse_strategy("mu X. (f(?x) ; Y) + @1.mu Y. X + ins <f([])>")
+    t = g(f(a()), b())
+    assert eval_strategy(mu_iterate(s.var, s.body, depth(t)), t) == g(f(f(a())), b())
+    with pytest.raises(ValidationFailure, match=r"^cannot evaluate open strategy \(free Y\)$"):
+        eval_strategy(s, t)
+
+
+def test_module_caches_are_bounded():
+    for fn in (free_vars, star_height, tree_depth):
+        bound = fn.cache_info().maxsize
+        assert bound is not None
+        for i in range(bound + 100):
+            fn(SVar(f"K{i}"))
+        assert fn.cache_info().currsize <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,32 @@ def test_depth_values():
     assert depth(g(f(a()), b())) == 2
 
 
+def test_depth_is_kept_per_node_and_right_on_shared_and_fresh_subterms():
+    shared = g(f(a()), b())
+    assert depth(shared) == 2
+    # the cached subterm appears twice, once under a deeper sibling
+    t = g(shared, f(f(shared)))
+    assert depth(t) == 5
+    assert depth(shared) == 2
+    # replace builds fresh nodes above the spot, so no stale depth is read
+    deeper = replace(t, (1, 2), f(f(f(f(a())))))
+    assert depth(deeper) == 6
+    assert depth(replace(deeper, (1,), a())) == 5
+    assert depth(t) == 5
+
+
+def test_cached_fields_take_no_part_in_equality_hash_or_repr():
+    seen, fresh = g(f(a()), b()), g(f(a()), b())
+    depth(seen)
+    assert seen._depth == 2 and fresh._depth is None
+    assert seen == fresh and hash(seen) == hash(fresh)
+    assert repr(seen) == repr(fresh)
+    c = ctx(list2(HOLE, App("i")))
+    assert c == ctx(list2(HOLE, App("i")))
+    assert hash(c) == hash(ctx(list2(HOLE, App("i"))))
+    assert repr(c) == "Context(body=App(head='list', args=(Hole(), App(head='i', args=()))))"
+
+
 @given(ground_terms)
 def test_every_listed_position_resolves(t):
     for p in positions(t):
@@ -196,6 +222,26 @@ def test_fill_nested():
 def test_hole_position():
     assert ctx(HOLE).hole_position == ()
     assert ctx(list2(list2(HOLE, App("j")), App("i"))).hole_position == (1, 1)
+
+
+def test_context_hole_counts_keep_their_message():
+    with pytest.raises(ValueError, match=r"^context must contain exactly one hole, found 0$"):
+        Context(g(a(), b()))
+    with pytest.raises(ValueError, match=r"^context must contain exactly one hole, found 2$"):
+        Context(g(f(HOLE), HOLE))
+
+
+@pytest.mark.parametrize("policy", list(MergePolicy))
+def test_merged_context_has_its_hole_position(policy):
+    tau_i = ctx(list2(HOLE, App("i")))
+    inner = ctx(g(a(), f(HOLE)))
+    merged = merge(tau_i, inner, policy)
+    if policy is MergePolicy.NEST:
+        assert merged.hole_position == (1, 2, 1)
+        assert merged.fill(b()) == list2(g(a(), f(b())), App("i"))
+    else:
+        assert merged.hole_position == (1,)
+        assert merged.fill(b()) == list2(b(), App("i"))
 
 
 def test_merge_nest_paper_values():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctxembed.checks import GenConfig, _gen_fixed_point, gen_strategy, gen_term
 from ctxembed.engine import combine, unify
 from ctxembed.posce import FAIL_PCE, PosCE, apply_pos_ce, combine_pos, eq_pos, unify_pos
 from ctxembed.strategy import (
@@ -18,9 +19,13 @@ from ctxembed.strategy import (
     SVar,
     ValidationFailure,
     eval_strategy,
+    free_vars,
     jump,
+    mu_iterate,
+    nodes,
 )
-from ctxembed.terms import HOLE, App, Context, Var, merge
+from ctxembed.syntax import parse_strategy, parse_term, print_posce
+from ctxembed.terms import HOLE, App, Context, Var, depth, merge
 from ctxembed.translate import psi
 
 
@@ -129,6 +134,76 @@ def test_fixed_point_iterates_to_the_subject_depth():
     assert psi(XI, a()) == FAIL_PCE
     assert psi(XI, g(b(), b())) == PosCE((((), TAU),))
     assert psi(XI, g(g(b(), b()), a())) == PosCE((((1,), TAU),))
+
+
+# ---------------------------------------------------------------------------
+# fixed points in an environment, against the substituted iterate
+# ---------------------------------------------------------------------------
+
+# (strategy, term, image worked out by hand)
+ENVIRONMENT_CASES = [
+    # the inner X shadows the outer one
+    (
+        "mu X. [@1.((mu X. (f(b) ; ins <f([])>) + @1.X)), @2.((a ; ins <f([])>) + X)]",
+        "g(f(f(b)),g(b,a))",
+        "[@1.1.<f([])>, @2.2.<f([])>]",
+    ),
+    # X is used inside Y's binder and keeps its own count
+    (
+        "mu X. mu Y. (f(?x) ; ins <f([])>) + [@1.X, @2.Y]",
+        "g(g(f(a),b),g(b,f(b)))",
+        "[@1.1.<f([])>, @2.2.<f([])>]",
+    ),
+    # the iterations run out one level above the leaf the guard waits for
+    ("mu X. a ; ins <f([])> + @1.X", "f(f(a))", "fail"),
+]
+
+
+@pytest.mark.parametrize("text, term, expected", ENVIRONMENT_CASES)
+def test_fixed_point_translates_in_an_environment(text, term, expected):
+    s, t = parse_strategy(text), parse_term(term)
+    got = psi(s, t)
+    assert print_posce(got) == expected
+    assert got == psi(mu_iterate(s.var, s.body, depth(t)), t)
+
+
+def test_environment_agrees_with_substitution_on_generated_fixed_points():
+    cfg = GenConfig(seed=6, max_term_depth=4, max_mu_nesting=3)
+    # every fixed point fails on a constant, on either side
+    terms = [t for t in (gen_term(cfg, j) for j in range(800)) if depth(t) > 0]
+    checked = 0
+    for i in range(200):
+        binders = [_gen_fixed_point(cfg, i)]
+        binders += [m for m in nodes(gen_strategy(cfg, i)) if isinstance(m, Mu) and not free_vars(m)]
+        for m in binders:
+            for t in (terms[i % len(terms)], terms[(i + 1) % len(terms)]):
+                assert psi(m, t) == psi(mu_iterate(m.var, m.body, depth(t)), t)
+                checked += 1
+    assert checked >= 500
+
+
+def test_translation_reaches_a_450_deep_spine():
+    # two Python frames per term level (a map and its entry), none per unfolding
+    s = parse_strategy("mu X. a ; ins <f([])> + @1.X")
+    t = a()
+    for _ in range(450):
+        t = f(t)
+    assert psi(s, t) == FAIL_PCE
+
+
+def test_open_variable_keeps_its_message():
+    with pytest.raises(ValidationFailure, match=r"^cannot translate open strategy \(free X\)$"):
+        psi(Mu("Y", Conj(((1, SVar("X")),))), f(a()))
+
+
+def test_free_variable_is_not_captured_by_an_inner_binder():
+    # substituting the iterate, which holds the free Y, under mu Y would bind
+    # it there; in the environment it stays free
+    s = parse_strategy("mu X. (f(?x) ; Y) + @1.mu Y. X + ins <f([])>")
+    t = g(f(a()), b())
+    assert psi(mu_iterate(s.var, s.body, depth(t)), t) == PosCE((((1,), SIGMA),))
+    with pytest.raises(ValidationFailure, match=r"^cannot translate open strategy \(free Y\)$"):
+        psi(s, t)
 
 
 # ---------------------------------------------------------------------------
