@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from ctxembed.engine import combine, unify
 from ctxembed.posce import apply_pos_ce, combine_pos, eq_pos, unify_pos
@@ -299,44 +299,36 @@ def check_theorem1(cfg: GenConfig) -> dict:
     constants observe the difference.  Progressing bodies stabilise at
     depth(u), so there the restart is invisible and the agreement holds.
     """
-    failures: list[dict] = []
-    stream = _progressing_stream(cfg, 2 * cfg.cases)
-    for i in range(cfg.cases):
-        s = stream[2 * i]
-        r = stream[2 * i + 1]
-        t = gen_term(cfg, i)
-        joint = unify(s, r, policy=cfg.merge_mode, signature=cfg.signature)
-        ps, pr = psi(s, t), psi(r, t)
-        lhs = psi(joint, t)
-        rhs = unify_pos(ps, pr, policy=cfg.merge_mode)
-        inputs = {"left": print_strategy(s), "right": print_strategy(r), "term": print_term(t)}
-        if not eq_pos(lhs, rhs):
-            failures.append(_failure(i, "unify-translation", inputs, print_posce(rhs), print_posce(lhs)))
-        _hom(s, t, ps, i, failures, "left")
-        _hom(r, t, pr, i, failures, "right")
-        _hom(joint, t, lhs, i, failures, "unified")
-    return _report("theorem1", cfg, failures)
+    return _check_distribution(cfg, "theorem1", unify, unify_pos, "unify-translation", "unified")
 
 
 def check_theorem2(cfg: GenConfig) -> dict:
     """The combination analogue of check_theorem1, on the same class."""
+    return _check_distribution(cfg, "theorem2", combine, combine_pos, "combine-translation", "combined")
+
+
+def _check_distribution(
+    cfg: GenConfig, suite: str, op: Callable, op_pos: Callable, law: str, role: str
+) -> dict:
+    """ψ(op(s, r)) equals op_pos(ψ(s), ψ(r)), and each image applies as its
+    strategy evaluates, on pairs from the frontier-progressing stream."""
     failures: list[dict] = []
     stream = _progressing_stream(cfg, 2 * cfg.cases)
     for i in range(cfg.cases):
         s = stream[2 * i]
         r = stream[2 * i + 1]
         t = gen_term(cfg, i)
-        joint = combine(s, r, policy=cfg.merge_mode, signature=cfg.signature)
+        joint = op(s, r, policy=cfg.merge_mode, signature=cfg.signature)
         ps, pr = psi(s, t), psi(r, t)
         lhs = psi(joint, t)
-        rhs = combine_pos(ps, pr, policy=cfg.merge_mode)
+        rhs = op_pos(ps, pr, policy=cfg.merge_mode)
         inputs = {"left": print_strategy(s), "right": print_strategy(r), "term": print_term(t)}
         if not eq_pos(lhs, rhs):
-            failures.append(_failure(i, "combine-translation", inputs, print_posce(rhs), print_posce(lhs)))
+            failures.append(_failure(i, law, inputs, print_posce(rhs), print_posce(lhs)))
         _hom(s, t, ps, i, failures, "left")
         _hom(r, t, pr, i, failures, "right")
-        _hom(joint, t, lhs, i, failures, "combined")
-    return _report("theorem2", cfg, failures)
+        _hom(joint, t, lhs, i, failures, role)
+    return _report(suite, cfg, failures)
 
 
 def check_unfold_oracle(

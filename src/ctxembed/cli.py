@@ -148,10 +148,6 @@ def _signature_for(args: argparse.Namespace, mentioned: list[CtxTerm]) -> Signat
     return sig if sig else dict(DEFAULT_SIGNATURE)
 
 
-def _merge_policy(name: str) -> MergePolicy:
-    return MergePolicy.NEST if name == "nest" else MergePolicy.LEFT_PROJECT
-
-
 def _parse_map(spec: str) -> dict[str, int]:
     counts: dict[str, int] = {}
     for part in spec.split(","):
@@ -185,7 +181,7 @@ def _unify_like(args: argparse.Namespace, op: Callable) -> int:
     sig = _signature_for(args, _embedded_terms(s) + _embedded_terms(r))
     trace: Optional[list] = [] if args.trace else None
     try:
-        out = op(s, r, policy=_merge_policy(args.merge), signature=sig, trace=trace)
+        out = op(s, r, policy=MergePolicy(args.merge), signature=sig, trace=trace)
     except ValidationFailure as err:
         raise _Diag(str(err)) from err
     if args.json:
@@ -253,7 +249,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             max_term_depth=args.depth,
             seed=args.seed,
             cases=args.cases,
-            merge_mode=_merge_policy(args.merge),
+            merge_mode=MergePolicy(args.merge),
         )
     except (SignatureError, ValueError) as err:
         raise _Diag(str(err)) from err

@@ -40,6 +40,7 @@ from ctxembed.strategy import (
     children,
     delta,
     free_vars,
+    fresh_name,
     rebuild,
     simplify as simplify_strategy,
     subst_var,
@@ -380,21 +381,11 @@ def _rename_fresh(s: Strat, used: set[str]) -> Strat:
     assigned: dict[str, str] = {}
     memo: dict[Strat, Strat] = {}
 
-    def pick() -> str:
-        if "Z" not in used:
-            used.add("Z")
-            return "Z"
-        k = 2
-        while f"Z{k}" in used:
-            k += 1
-        used.add(f"Z{k}")
-        return f"Z{k}"
-
     def walk(node: Strat) -> Strat:
         out = memo.get(node)
         if out is None:
             if isinstance(node, Mu) and node.var.startswith(_FRESH_PREFIX):
-                assigned[node.var] = pick()
+                assigned[node.var] = fresh_name("Z", used)
                 out = Mu(assigned[node.var], walk(node.body))
             elif isinstance(node, SVar):
                 out = SVar(assigned[node.name]) if node.name in assigned else node

@@ -20,8 +20,8 @@ from ctxembed.terms import (
     Context,
     MergePolicy,
     Position,
+    PositionError,
     Term,
-    has_position,
     merge,
     replace,
     subterm,
@@ -62,15 +62,16 @@ def apply_pos_ce(e: PosCE, t: Term) -> Optional[Term]:
     ``t``; otherwise applies each entry in order, skipping entries whose
     position has disappeared from the evolving term.
     """
-    if e.is_fail:
-        return None
-    if not any(has_position(t, p) for p, _ in e.entries):
-        return None
-    out = t
+    # until an entry applies the running term is still t, so "some entry
+    # applied" is "some entry position occurs in t"
+    out, hit = t, False
     for p, tau in e.entries:
-        if has_position(out, p):
-            out = replace(out, p, tau.fill(subterm(out, p)))
-    return out
+        try:
+            here = subterm(out, p)
+        except PositionError:
+            continue
+        out, hit = replace(out, p, tau.fill(here)), True
+    return out if hit else None
 
 
 def unify_pos(left: PosCE, right: PosCE, policy: MergePolicy = MergePolicy.NEST) -> PosCE:

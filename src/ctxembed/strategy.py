@@ -248,10 +248,12 @@ def eval_strategy(s: Strat, t: Term) -> Optional[Term]:
 
 def _eval(s: Strat, t: Term, env: Env) -> Optional[Term]:
     # Tail positions rebind s and env and loop instead of recursing, so an
-    # unfolding costs no Python frame of its own.
+    # unfolding costs no Python frame of its own.  A map leaves the loop and
+    # runs its entries below in this same frame: one frame per term level.
     while True:
         if isinstance(s, Conj):
-            return _eval_conj(s.entries, t, env)
+            entries = s.entries
+            break
         if isinstance(s, Choice):
             got = _eval(s.left, t, env)
             if got is not None:
@@ -278,10 +280,8 @@ def _eval(s: Strat, t: Term, env: Env) -> Optional[Term]:
             env = {**env, s.var: (s.body, env, n - 1)}
             s = s.body
         elif isinstance(s, Most):
-            ar = arity_at_root(t)
-            if ar == 0:
-                return None
-            return _eval_conj(tuple((i, s.body) for i in range(1, ar + 1)), t, env)
+            entries = tuple((i, s.body) for i in range(1, arity_at_root(t) + 1))
+            break
         elif isinstance(s, IfThen):
             if _eval(s.cond, t, env) is None:
                 return None
@@ -290,11 +290,6 @@ def _eval(s: Strat, t: Term, env: Env) -> Optional[Term]:
             return None
         else:
             raise TypeError(f"not a strategy: {s!r}")
-
-
-def _eval_conj(
-    entries: tuple[tuple[Optional[int], Strat], ...], t: Term, env: Env
-) -> Optional[Term]:
     # The entries apply left to right to the running result, and the map fails
     # only when every entry fails on the unmodified input.  Until the first
     # entry succeeds the running result is that input, so one pass evaluates
@@ -314,14 +309,19 @@ def _eval_conj(
     return out if hit else None
 
 
+def fresh_name(base: str, taken: set[str]) -> str:
+    """The first of ``base``, ``base2``, ``base3``, ... not in ``taken``, which
+    is then added to ``taken``."""
+    name, k = base, 2
+    while name in taken:
+        name, k = f"{base}{k}", k + 1
+    taken.add(name)
+    return name
+
+
 def td(s: Strat) -> Strat:
     """Top-down driver: try ``s`` here, else at the topmost children it fits."""
-    name = "X"
-    used = free_vars(s) | bound_vars(s)
-    k = 2
-    while name in used:
-        name = f"X{k}"
-        k += 1
+    name = fresh_name("X", set(free_vars(s)) | bound_vars(s))
     return Mu(name, Choice(s, Most(SVar(name))))
 
 
@@ -525,15 +525,7 @@ def _rename_binders(s: Strat, pick: Callable[[str], str]) -> Strat:
 def alpha_rename(s: Strat, avoid: set[str]) -> Strat:
     """Rename binders so no bound name lies in ``avoid``; deterministic."""
     taken = set(avoid) | free_vars(s)
-
-    def fresh(base: str) -> str:
-        name, k = base, 2
-        while name in taken:
-            name, k = f"{base}{k}", k + 1
-        taken.add(name)
-        return name
-
-    return _rename_binders(s, fresh)
+    return _rename_binders(s, lambda base: fresh_name(base, taken))
 
 
 def alpha_eq(s1: Strat, s2: Strat) -> bool:

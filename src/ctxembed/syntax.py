@@ -318,13 +318,26 @@ def parse_posce(text: str) -> PosCE:
 
 
 def print_term(t: Union[Term, Hole]) -> str:
-    if isinstance(t, Hole):
-        return "[]"
-    if isinstance(t, Var):
-        return f"?{t.name}"
-    if not t.args:
-        return t.head
-    return f"{t.head}({','.join(print_term(arg) for arg in t.args)})"
+    # an explicit stack of subterms and punctuation, so depth costs no frames
+    parts: list[str] = []
+    stack: list = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif isinstance(node, Hole):
+            parts.append("[]")
+        elif isinstance(node, Var):
+            parts.append(f"?{node.name}")
+        elif not node.args:
+            parts.append(node.head)
+        else:
+            parts.append(f"{node.head}(")
+            stack.append(")")
+            for arg in reversed(node.args[1:]):
+                stack += (arg, ",")
+            stack.append(node.args[0])
+    return "".join(parts)
 
 
 def print_context(c: Context) -> str:
@@ -460,30 +473,3 @@ def to_json(s: Strat) -> dict:
     if isinstance(s, IfThen):
         return {"kind": "ifthen", "cond": to_json(s.cond), "body": to_json(s.body)}
     raise TypeError(f"not a strategy: {s!r}")
-
-
-def from_json(d: dict) -> Strat:
-    kind = d.get("kind")
-    if kind == "fail":
-        return FAIL_S
-    if kind == "var":
-        return SVar(d["var"])
-    if kind == "ins":
-        return Ins(parse_context(d["ctx"]))
-    if kind == "guard":
-        return Guard(parse_term(d["pattern"]), from_json(d["body"]))
-    if kind == "choice":
-        return Choice(from_json(d["left"]), from_json(d["right"]))
-    if kind == "mu":
-        return Mu(d["var"], from_json(d["body"]))
-    if kind == "conj":
-        entries = tuple(
-            (None if e["idx"] == "eps" else int(e["idx"]), from_json(e["body"]))
-            for e in d["entries"]
-        )
-        return Conj(entries)
-    if kind == "most":
-        return Most(from_json(d["body"]))
-    if kind == "ifthen":
-        return IfThen(from_json(d["cond"]), from_json(d["body"]))
-    raise ValueError(f"unknown strategy kind: {kind!r}")

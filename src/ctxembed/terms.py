@@ -123,14 +123,6 @@ def replace(t: CtxTerm, p: Position, new: CtxTerm) -> CtxTerm:
     return App(t.head, args)
 
 
-def has_position(t: CtxTerm, p: Position) -> bool:
-    try:
-        subterm(t, p)
-    except PositionError:
-        return False
-    return True
-
-
 def depth(t: CtxTerm) -> int:
     """Depth of a term: 0 for variables and constants, 1+max over children.
 

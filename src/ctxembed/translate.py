@@ -23,7 +23,7 @@ from ctxembed.strategy import (
     SVar,
     ValidationFailure,
 )
-from ctxembed.terms import App, Position, Term, arity_at_root, depth, match, merge
+from ctxembed.terms import App, Context, Position, Term, arity_at_root, depth, match, merge
 
 
 def psi(s: Strat, t: Term) -> PosCE:
@@ -34,19 +34,29 @@ def psi(s: Strat, t: Term) -> PosCE:
     binder's environment and depth(t) - 1 iterations left, and each use of
     ``X`` spends one.  The reference semantics is the substituted iterate
     ``mu_iterate(X, S, depth(t))``.
+
+    Every insertion is written once, at its absolute position, into one
+    table, and the table is sorted once at the end.
     """
-    return _psi(s, t, {})
+    out: dict[Position, Context] = {}
+    if not _psi(s, t, {}, (), out):
+        return FAIL_PCE
+    return canonicalize(PosCE(tuple(out.items())))
 
 
-def _psi(s: Strat, t: Term, env: Env) -> PosCE:
-    # tail positions loop instead of recursing, as in the evaluator
+def _psi(s: Strat, t: Term, env: Env, at: Position, out: dict[Position, Context]) -> bool:
+    # Writes the image of s on the subterm t at position at into out and
+    # reports success.  A call that fails writes nothing: insertions always
+    # succeed, and every other case fails before writing or after sub-calls
+    # that each wrote nothing.  Tail positions loop instead of recursing, and
+    # a map runs its entries below in this same frame, as in the evaluator.
     while True:
         if isinstance(s, Conj):
-            return _entries(s.entries, t, env)
+            entries = s.entries
+            break
         if isinstance(s, Choice):
-            left = _psi(s.left, t, env)
-            if not left.is_fail:
-                return left
+            if _psi(s.left, t, env, at, out):
+                return True
             s = s.right
         elif isinstance(s, SVar):
             name = s.name
@@ -54,61 +64,38 @@ def _psi(s: Strat, t: Term, env: Env) -> PosCE:
                 raise ValidationFailure(f"cannot translate open strategy (free {name})")
             s, defined, left = env[name]
             if left == 0:
-                return FAIL_PCE
+                return False
             env = {**defined, name: (s, defined, left - 1)}
         elif isinstance(s, Ins):
-            return PosCE((((), s.ctx),))
+            # an insertion applied later wraps an earlier one at the same spot
+            old = out.get(at)
+            out[at] = s.ctx if old is None else merge(s.ctx, old)
+            return True
         elif isinstance(s, Guard):
             if match(s.pattern, t) is None:
-                return FAIL_PCE
+                return False
             s = s.body
         elif isinstance(s, Mu):
             n = depth(t)
             if n == 0:
-                return FAIL_PCE
+                return False
             env = {**env, s.var: (s.body, env, n - 1)}
             s = s.body
         elif isinstance(s, Most):
-            ar = arity_at_root(t)
-            if ar == 0:
-                return FAIL_PCE
-            return _entries(tuple((i, s.body) for i in range(1, ar + 1)), t, env)
+            entries = tuple((i, s.body) for i in range(1, arity_at_root(t) + 1))
+            break
         elif isinstance(s, IfThen):
-            if _psi(s.cond, t, env).is_fail:
-                return FAIL_PCE
+            if not _psi(s.cond, t, env, at, {}):
+                return False
             s = s.body
         elif isinstance(s, SFail):
-            return FAIL_PCE
+            return False
         else:
             raise TypeError(f"not a strategy: {s!r}")
-
-
-def _entries(entries, t: Term, env: Env) -> PosCE:
-    collected: list[tuple[Position, object]] = []
-    succeeded = False
+    hit = False
     for i, body in entries:
         if i is None:
-            prefix: Position = ()
-            subject = t
-        else:
-            if not isinstance(t, App) or not 1 <= i <= len(t.args):
-                continue
-            prefix = (i,)
-            subject = t.args[i - 1]
-        sub = _psi(body, subject, env)
-        if sub.is_fail:
-            continue
-        succeeded = True
-        collected.extend((prefix + p, c) for p, c in sub.entries)
-    if not succeeded:
-        return FAIL_PCE
-    # entries applied later wrap the results of earlier ones at the same spot
-    composed: dict[Position, object] = {}
-    order: list[Position] = []
-    for p, c in collected:
-        if p in composed:
-            composed[p] = merge(c, composed[p])
-        else:
-            composed[p] = c
-            order.append(p)
-    return canonicalize(PosCE(tuple((p, composed[p]) for p in order)))
+            hit = _psi(body, t, env, at, out) or hit
+        elif isinstance(t, App) and 1 <= i <= len(t.args):
+            hit = _psi(body, t.args[i - 1], env, at + (i,), out) or hit
+    return hit

@@ -181,13 +181,12 @@ def test_psi_of_a_failing_strategy(capsys):
     assert out.strip() == "fail"
 
 
-@pytest.mark.parametrize(
-    "command, strategy",
-    [("apply", "ins <f([])>"), ("psi", "mu X. a ; ins <f([])> + @1.X")],
-)
-def test_input_nested_too_deeply_is_a_usage_error(tmp_path, capsys, command, strategy):
-    # printing the result (apply) or translating (psi) recurses once per
-    # level; parsing reaches further, so the limit hit is past the parser
+@pytest.mark.parametrize("command", ["apply", "psi"])
+def test_input_nested_too_deeply_is_a_usage_error(tmp_path, capsys, command):
+    # the choice's left branch costs a second frame per level on top of the
+    # map entry's, in evaluation (apply) and translation (psi) alike;
+    # parsing reaches further, so the limit hit is past the parser
+    strategy = "mu X. a ; ins <f([])> + (@1.X + fail)"
     text = "f(" * 700 + "a" + ")" * 700
     parse_term(text)
     term = tmp_path / "deep.term"
@@ -196,6 +195,17 @@ def test_input_nested_too_deeply_is_a_usage_error(tmp_path, capsys, command, str
     assert code == 2
     assert out == ""
     assert err == f"{command}: input nested too deeply\n"
+
+
+def test_apply_prints_a_result_deeper_than_evaluation_recurses(tmp_path, capsys):
+    # printing runs on an explicit stack, so the printer is no longer the
+    # limit on what apply can answer
+    term = tmp_path / "deep.term"
+    term.write_text("f(" * 700 + "a" + ")" * 700)
+    code, out, err = run(capsys, "apply", "--term", str(term), "--strategy", "ins <f([])>")
+    assert code == 0
+    assert err == ""
+    assert out == "f(" * 701 + "a" + ")" * 701 + "\n"
 
 
 def test_check_reports_ok_for_an_admissible_strategy(capsys):

@@ -81,6 +81,12 @@ def test_apply_missing_position_is_skipped():
     assert apply_pos_ce(e, t) == list2(t, la("j"))
 
 
+def test_apply_reaches_a_position_an_earlier_entry_made():
+    # unordered: @1 exists only once the root insertion has run
+    e = pce(((), Context(App("f", (HOLE,)))), ((1,), Context(App("g", (HOLE, la("a"))))))
+    assert apply_pos_ce(e, la("a")) == App("f", (App("g", (la("a"), la("a"))),))
+
+
 def test_apply_fails_when_no_position_exists():
     t = la("a")
     assert apply_pos_ce(pce(((1,), TAU_I)), t) is None

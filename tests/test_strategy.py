@@ -282,10 +282,11 @@ def test_eval_environment_agrees_with_substitution_on_generated_fixed_points():
 
 
 def test_eval_reaches_a_300_deep_spine():
-    # two Python frames per term level (a map and its entry), none per unfolding
+    # one Python frame per term level (a map runs its entries in its own
+    # frame), none per unfolding
     s = parse_strategy("mu X. a ; ins <f([])> + @1.X")
     t = a()
-    for _ in range(300):
+    for _ in range(800):
         t = f(t)
     assert eval_strategy(s, t) is None
 

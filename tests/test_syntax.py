@@ -1,4 +1,4 @@
-"""Concrete syntax: parsing, printing, JSON round trips."""
+"""Concrete syntax: parsing, printing, JSON encoding."""
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,6 @@ from ctxembed.strategy import (
 )
 from ctxembed.syntax import (
     ParseError,
-    from_json,
     parse_context,
     parse_posce,
     parse_position,
@@ -308,12 +307,6 @@ def test_round_trip_parse_print(s):
     assert parse_strategy(print_strategy(s)) == s
 
 
-@settings(max_examples=300, deadline=None)
-@given(_strategies())
-def test_round_trip_json(s):
-    assert from_json(to_json(s)) == s
-
-
 # ---------------------------------------------------------------------------
 # JSON shape
 # ---------------------------------------------------------------------------
@@ -351,11 +344,6 @@ def test_json_shapes():
         "left": {"kind": "fail"},
         "right": {"kind": "fail"},
     }
-
-
-def test_from_json_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        from_json({"kind": "nope"})
 
 
 # ---------------------------------------------------------------------------

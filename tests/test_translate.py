@@ -110,6 +110,17 @@ def test_duplicate_positions_merge_with_later_entry_outermost():
     assert psi(s, a()) == PosCE((((), merge(TAU_P, TAU)),))
 
 
+def test_one_position_written_from_two_depths_merges_later_outermost():
+    # the second write to @1 comes from one level further down
+    s = Conj(((1, Ins(TAU)), (1, Conj(((None, Ins(TAU_P)),)))))
+    assert psi(s, f(a())) == PosCE((((1,), merge(TAU_P, TAU)),))
+
+
+def test_a_branch_failing_after_its_condition_leaves_no_trace():
+    s = Choice(IfThen(Ins(TAU), FAIL_S), Ins(TAU_P))
+    assert psi(s, a()) == PosCE((((), TAU_P),))
+
+
 def test_descendants_precede_ancestors_after_translation():
     s = Conj(((1, jump((2,), Ins(TAU))), (1, Ins(TAU_P))))
     got = psi(s, g(g(a(), b()), a()))
@@ -183,10 +194,11 @@ def test_environment_agrees_with_substitution_on_generated_fixed_points():
 
 
 def test_translation_reaches_a_450_deep_spine():
-    # two Python frames per term level (a map and its entry), none per unfolding
+    # one Python frame per term level (a map runs its entries in its own
+    # frame), none per unfolding
     s = parse_strategy("mu X. a ; ins <f([])> + @1.X")
     t = a()
-    for _ in range(450):
+    for _ in range(800):
         t = f(t)
     assert psi(s, t) == FAIL_PCE
 
