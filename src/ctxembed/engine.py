@@ -21,7 +21,7 @@ tree depth) pair.  A violation raises ``EngineError`` instead of looping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from ctxembed.strategy import (
     FAIL_S,
@@ -58,13 +58,19 @@ _PHI_CAP = 100_000
 _MAX_STEPS = 1_000_000
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Pending:
-    """A pair of strategies awaiting unification, with fixed-point memory."""
+    """A pair of strategies awaiting unification, with fixed-point memory.
+
+    Equality is identity, so no node built around a pending is shared with
+    another.  Such a node's stored facts come from the placeholders below and
+    are never read: ``descend`` replaces every node that holds a pending."""
 
     left: Strat
     right: Strat
     memory: frozenset
+
+    free, star_height, tree_depth = frozenset(), 0, 0
 
 
 # ---------------------------------------------------------------------------
@@ -72,11 +78,12 @@ class Pending:
 # ---------------------------------------------------------------------------
 
 
-def _unfold_once(m: Mu) -> Strat:
-    return subst_var(m.body, m.var, m)
+def phi(s: Strat) -> frozenset:
+    """All strategies reachable by the reduction from ``s`` on one side.
 
-
-def _closure(s: Strat, unfold_once: Callable[[Mu], Strat]) -> frozenset:
+    Fixed points contribute both their body and their one-step unfolding;
+    the result is finite because unfolding only ever reintroduces ``s``.
+    """
     seen: set = set()
     work = [s]
     while work:
@@ -88,17 +95,8 @@ def _closure(s: Strat, unfold_once: Callable[[Mu], Strat]) -> frozenset:
             raise EngineError("closure exceeded size cap")
         work.extend(children(node))
         if isinstance(node, Mu):
-            work.append(unfold_once(node))
+            work.append(subst_var(node.body, node.var, node))
     return frozenset(seen)
-
-
-def phi(s: Strat) -> frozenset:
-    """All strategies reachable by the reduction from ``s`` on one side.
-
-    Fixed points contribute both their body and their one-step unfolding;
-    the result is finite because unfolding only ever reintroduces ``s``.
-    """
-    return _closure(s, _unfold_once)
 
 
 # ---------------------------------------------------------------------------
@@ -136,22 +134,14 @@ class _Engine:
         self.arity_bound = arity_bound
         self.counter = 0
         self.spawned: list[Pending] = []
-        # Per-call caches.  Building each unfolding once also makes equal
-        # sides one shared object, so closure lookups hit on identity.
-        self.unfolded: dict[Mu, Strat] = {}
+        # phi, its fixed points and delta of each side, once per call
         self.sides: dict[Strat, tuple[frozenset, frozenset, tuple[int, int]]] = {}
-
-    def unfold_once(self, m: Mu) -> Strat:
-        out = self.unfolded.get(m)
-        if out is None:
-            out = self.unfolded[m] = _unfold_once(m)
-        return out
 
     def side(self, s: Strat) -> tuple[frozenset, frozenset, tuple[int, int]]:
         """phi(s), its fixed points, and delta(s)."""
         got = self.sides.get(s)
         if got is None:
-            full = _closure(s, self.unfold_once)
+            full = phi(s)
             mus = frozenset(x for x in full if isinstance(x, Mu))
             got = self.sides[s] = (full, mus, delta(s))
         return got
@@ -260,13 +250,13 @@ class _Engine:
                 if a == s and b == r:
                     return "8a", SVar(z)
             z = self.fresh()
-            return "8a", Mu(z, self.pend(self.unfold_once(s), r, mem | {(s, r, z)}))
+            return "8a", Mu(z, self.pend(subst_var(s.body, s.var, s), r, mem | {(s, r, z)}))
         if isinstance(r, Mu):
             for a, b, z in mem:
                 if a == s and b == r:
                     return "8b", SVar(z)
             z = self.fresh()
-            return "8b", Mu(z, self.pend(s, self.unfold_once(r), mem | {(s, r, z)}))
+            return "8b", Mu(z, self.pend(s, subst_var(r.body, r.var, r), mem | {(s, r, z)}))
         raise EngineError(f"no rule applies to {s!r} / {r!r}")
 
 

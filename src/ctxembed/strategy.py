@@ -18,104 +18,134 @@ contexts at the positions it reaches.  The constructors:
 
 ``jump(p, S)`` builds the derived form @p.S as nested single-entry
 conjunctions.
+
+Strategies are interned: building a node whose class and fields equal those
+of a live node returns that node, so structurally equal strategies are one
+object and equality and hashing are identity, O(1) at any depth.  Each node
+stores three facts when it is built, computed from its children: its free
+variables, its star height and its tree depth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+import weakref
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
 from operator import is_, itemgetter
 from typing import Callable, Iterator, Mapping, Optional, Union
 
-from ctxembed.terms import (
-    _HASH_FIELD,
-    App,
-    Context,
-    Position,
-    Term,
-    arity_at_root,
-    cached_hash,
-    depth,
-    match,
-)
+from ctxembed.terms import App, Context, Position, Term, arity_at_root, depth, match
 
 
 class ValidationFailure(ValueError):
     """A strategy does not satisfy a required structural property."""
 
 
-@dataclass(frozen=True, slots=True)
-class SFail:
+# Every node is built once: the table maps (class, *fields) to the live node
+# with those fields.  Children are interned before their parent, so a key
+# holds them by identity, and equality and hashing are those of the object.
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_LOCK = threading.Lock()
+_NO_NAMES: frozenset[str] = frozenset()
+
+
+class _Node:
+    """Base of the strategy constructors: interning and the stored facts.
+
+    ``free`` is the set of free variables, ``star_height`` the deepest binder
+    nesting and ``tree_depth`` the constructor depth (see ``tree_depth``).
+    """
+
+    __slots__ = ("free", "star_height", "tree_depth", "__weakref__")
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        with _LOCK:  # a lookup and the insertion after it must not interleave
+            node = _TABLE.get(key)
+            if node is not None:
+                return node
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, args, strict=True):
+                object.__setattr__(node, name, value)
+            free, height, tdepth = _NO_NAMES, 0, 0
+            for kid in _CHILDREN[cls](node):
+                if kid.free:
+                    free = free | kid.free if free else kid.free
+                height = max(height, kid.star_height)
+                tdepth = max(tdepth, kid.tree_depth)
+            if cls is SVar:
+                free = frozenset((node.name,))
+            elif cls is Mu:
+                free, height = free - {node.var}, height + 1
+            elif cls is Most:
+                tdepth += 2
+            elif cls is not SFail:
+                tdepth += 1
+            object.__setattr__(node, "free", free)
+            object.__setattr__(node, "star_height", height)
+            object.__setattr__(node, "tree_depth", tdepth)
+            _TABLE[key] = node
+        return node
+
+
+def _node(cls):
+    return dataclass(frozen=True, slots=True, eq=False, init=False)(cls)
+
+
+@_node
+class SFail(_Node):
     pass
 
 
-@cached_hash
-@dataclass(frozen=True, slots=True)
-class SVar:
+@_node
+class SVar(_Node):
     name: str
-    _hash: Optional[int] = field(**_HASH_FIELD)
 
 
-@cached_hash
-@dataclass(frozen=True, slots=True)
-class Ins:
+@_node
+class Ins(_Node):
     ctx: Context
-    _hash: Optional[int] = field(**_HASH_FIELD)
 
 
-@cached_hash
-@dataclass(frozen=True, slots=True)
-class Guard:
+@_node
+class Guard(_Node):
     pattern: Term
     body: "Strat"
-    _hash: Optional[int] = field(**_HASH_FIELD)
 
 
-@cached_hash
-@dataclass(frozen=True, slots=True)
-class Choice:
+@_node
+class Choice(_Node):
     left: "Strat"
     right: "Strat"
-    _hash: Optional[int] = field(**_HASH_FIELD)
 
 
-@cached_hash
-@dataclass(frozen=True, slots=True)
-class Mu:
+@_node
+class Mu(_Node):
     var: str
     body: "Strat"
-    _hash: Optional[int] = field(**_HASH_FIELD)
 
 
-@cached_hash
-@dataclass(frozen=True, slots=True)
-class Conj:
+@_node
+class Conj(_Node):
     """Indexed entries; index None targets the current position (root)."""
 
     entries: tuple[tuple[Optional[int], "Strat"], ...]
-    _hash: Optional[int] = field(**_HASH_FIELD)
 
 
-@cached_hash
-@dataclass(frozen=True, slots=True)
-class Most:
+@_node
+class Most(_Node):
     body: "Strat"
-    _hash: Optional[int] = field(**_HASH_FIELD)
 
 
-@cached_hash
-@dataclass(frozen=True, slots=True)
-class IfThen:
+@_node
+class IfThen(_Node):
     cond: "Strat"
     body: "Strat"
-    _hash: Optional[int] = field(**_HASH_FIELD)
 
 
 Strat = Union[SFail, SVar, Ins, Guard, Choice, Mu, Conj, Most, IfThen]
-
-FAIL_S = SFail()
-
 
 def jump(p: Position, body: Strat) -> Strat:
     """The derived jump @p.S; the root position gives a single None entry."""
@@ -141,6 +171,8 @@ _CHILDREN: dict[type, Callable[[Strat], tuple[Strat, ...]]] = {
     IfThen: lambda s: (s.cond, s.body),
 }
 
+FAIL_S = SFail()
+
 
 def children(s: Strat) -> tuple[Strat, ...]:
     """The immediate sub-strategies of ``s``, left to right."""
@@ -151,17 +183,13 @@ def rebuild(s: Strat, kids: tuple[Strat, ...]) -> Strat:
     """``s`` with its sub-strategies replaced; ``s`` itself when none changed."""
     if all(map(is_, kids, children(s))):
         return s
+    if isinstance(s, Conj):
+        return Conj(tuple((i, k) for (i, _), k in zip(s.entries, kids)))
     if isinstance(s, Guard):
         return Guard(s.pattern, kids[0])
-    if isinstance(s, Most):
-        return Most(kids[0])
     if isinstance(s, Mu):
         return Mu(s.var, kids[0])
-    if isinstance(s, Choice):
-        return Choice(kids[0], kids[1])
-    if isinstance(s, IfThen):
-        return IfThen(kids[0], kids[1])
-    return Conj(tuple((i, k) for (i, _), k in zip(s.entries, kids)))
+    return type(s)(*kids)
 
 
 def nodes(s: Strat) -> Iterator[Strat]:
@@ -177,19 +205,8 @@ def nodes(s: Strat) -> Iterator[Strat]:
 # variables and substitution
 # ---------------------------------------------------------------------------
 
-# The memo tables of free_vars, star_height and tree_depth live as long as the
-# process, so each keeps at most this many strategies.
-_CACHE_SIZE = 1 << 14
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
 def free_vars(s: Strat) -> frozenset[str]:
-    if isinstance(s, SVar):
-        return frozenset({s.name})
-    out: frozenset[str] = frozenset()
-    for c in children(s):
-        out |= free_vars(c)
-    return out - {s.var} if isinstance(s, Mu) else out
+    return s.free
 
 
 def bound_vars(s: Strat) -> set[str]:
@@ -201,10 +218,10 @@ def subst_var(s: Strat, var: str, rep: Strat) -> Strat:
 
     Subtrees without a free ``var`` come back as the same objects.
     """
-    if isinstance(s, SVar):
-        return rep if s.name == var else s
-    if isinstance(s, Mu) and s.var == var:
+    if var not in s.free:
         return s
+    if isinstance(s, SVar):
+        return rep
     return rebuild(s, tuple(subst_var(c, var, rep) for c in children(s)))
 
 
@@ -356,7 +373,9 @@ def _monotone_at(m: Mu) -> bool:
     stack = [m.body]
     while stack:
         node = stack.pop()
-        if isinstance(node, SVar) and node.name == m.var:
+        if m.var not in node.free:
+            continue
+        if isinstance(node, SVar):
             return False
         if isinstance(node, Conj):
             stack.extend(b for i, b in node.entries if i is None)
@@ -366,13 +385,15 @@ def _monotone_at(m: Mu) -> bool:
 
 
 def _count_occurrences(s: Strat, var: str) -> int:
-    if isinstance(s, SVar):
-        return int(s.name == var)
-    if isinstance(s, Mu) and s.var == var:
-        return 0
-    n = 0
-    for c in children(s):
-        n += _count_occurrences(c, var)
+    """Free occurrences of ``var``; subtrees where it is not free are skipped."""
+    n, stack = 0, [s]
+    while stack:
+        node = stack.pop()
+        if var in node.free:
+            if isinstance(node, SVar):
+                n += 1
+            else:
+                stack.extend(children(node))
     return n
 
 
@@ -407,31 +428,19 @@ def validate(s: Strat) -> Validation:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def star_height(s: Strat) -> int:
     """Deepest nesting of fixed-point binders."""
-    h = 0
-    for c in children(s):
-        h = max(h, star_height(c))
-    return h + 1 if isinstance(s, Mu) else h
+    return s.star_height
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def tree_depth(s: Strat) -> int:
     """Constructor depth ignoring binders; Most counts as a conjunction of jumps."""
-    if isinstance(s, (SFail, SVar)):
-        return 0
-    d = 0
-    for c in children(s):
-        d = max(d, tree_depth(c))
-    if isinstance(s, Mu):
-        return d
-    return d + 2 if isinstance(s, Most) else d + 1
+    return s.tree_depth
 
 
 def delta(s: Strat) -> tuple[int, int]:
     """Lexicographic (star height, tree depth)."""
-    return (star_height(s), tree_depth(s))
+    return (s.star_height, s.tree_depth)
 
 
 # ---------------------------------------------------------------------------

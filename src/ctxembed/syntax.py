@@ -431,8 +431,8 @@ def _render_jump(s: Conj, followed: bool) -> str:
 def _render_entry(idx: Optional[int], body: Strat) -> str:
     if idx is None:
         return f"@eps.{_render(body, _CHOICE, False)}"
-    steps, tail = _collapse(Conj(((idx, body),)))
-    pos = ".".join(str(i) for i in steps)
+    steps, tail = _collapse(body)
+    pos = ".".join(str(i) for i in (idx, *steps))
     return f"@{pos}.{_render(tail, _CHOICE, False)}"
 
 

@@ -1,5 +1,10 @@
 """Strategy language: evaluation, validation, measures, unfolding."""
 
+import gc
+import sys
+import threading
+from operator import is_
+
 import pytest
 
 from ctxembed.checks import GenConfig, _gen_fixed_point, gen_strategy, gen_term
@@ -15,6 +20,7 @@ from ctxembed.strategy import (
     Mu,
     SVar,
     ValidationFailure,
+    _TABLE,
     alpha_eq,
     alpha_rename,
     bound_vars,
@@ -322,13 +328,51 @@ def test_eval_free_variable_is_not_captured_by_an_inner_binder():
         eval_strategy(s, t)
 
 
-def test_module_caches_are_bounded():
-    for fn in (free_vars, star_height, tree_depth):
-        bound = fn.cache_info().maxsize
-        assert bound is not None
-        for i in range(bound + 100):
-            fn(SVar(f"K{i}"))
-        assert fn.cache_info().currsize <= bound
+def test_equal_strategies_are_one_interned_node():
+    text = "mu X. (a ; ins <f([])>) + @1.X"
+    assert parse_strategy(text) is parse_strategy(text)
+    assert Ins(Context(f(HOLE))) is Ins(Context(f(HOLE)))
+
+
+def test_intern_table_drops_dead_nodes():
+    gc.collect()
+    start = len(_TABLE)
+    built = [Mu(f"Fresh{i}", SVar(f"Fresh{i}")) for i in range(10_000)]
+    assert len(_TABLE) == start + 20_000
+    del built
+    assert len(_TABLE) == start
+
+
+def test_threads_building_equal_strategies_get_one_node():
+    built: list[list] = [[] for _ in range(4)]
+
+    def work(out: list) -> None:
+        out.extend(Mu(f"Shared{i}", Most(SVar(f"Shared{i}"))) for i in range(3_000))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in built]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == 3_000 and all(map(is_, out, built[0])) for out in built)
+
+
+def test_strategy_10000_deep_needs_no_recursion():
+    def build():
+        return Mu("X", jump((1,) * 10_000, Choice(Ins(Context(HOLE)), SVar("X"))))
+
+    s = build()
+    assert hash(s) == hash(build()) and s == build()
+    assert free_vars(s) == frozenset()
+    assert delta(s) == (star_height(s), tree_depth(s)) == (1, 10_002)
+    assert validate(s).ok
+    assert star_height(td(s)) == 2
 
 
 # ---------------------------------------------------------------------------
