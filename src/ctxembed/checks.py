@@ -592,23 +592,31 @@ def check_stabilization(cfg: GenConfig) -> dict:
     return _report("stabilization", cfg, failures)
 
 
-def replay(s: Strat, t: Term, fuel: int) -> Optional[Term]:
+def replay(
+    s: Strat, t: Term, fuel: int, memo: Optional[dict] = None
+) -> Optional[Term]:
     """Brute-force recursive descent with one fuel unit per level.
 
     Mirrors the iterate budget of the fixed-point semantics exactly: the root
     try costs nothing, each step down to the children costs one unit.
+    ``memo`` keeps results by (subterm, fuel) across calls for the same ``s``.
     """
     if fuel <= 0:
         return None
-    direct = eval_strategy(s, t)
-    if direct is not None:
-        return direct
-    if not isinstance(t, App) or not t.args:
-        return None
-    kids = [replay(s, child, fuel - 1) for child in t.args]
-    if all(k is None for k in kids):
-        return None
-    return App(t.head, tuple(orig if new is None else new for orig, new in zip(t.args, kids)))
+    if memo is None:
+        memo = {}
+    key = (t, fuel)
+    if key in memo:
+        return memo[key]
+    out = eval_strategy(s, t)
+    if out is None and isinstance(t, App) and t.args:
+        kids = [replay(s, child, fuel - 1, memo) for child in t.args]
+        if any(k is not None for k in kids):
+            out = App(
+                t.head, tuple(orig if new is None else new for orig, new in zip(t.args, kids))
+            )
+    memo[key] = out
+    return out
 
 
 def check_td_replay(cfg: GenConfig) -> dict:
@@ -618,9 +626,10 @@ def check_td_replay(cfg: GenConfig) -> dict:
     for i in range(cfg.cases):
         s = gen_strategy(cfg, i)
         descended = td(s)
+        memo: dict = {}
         for t in suite:
             a = eval_strategy(descended, t)
-            b = replay(s, t, depth(t))
+            b = replay(s, t, depth(t), memo)
             if a != b:
                 failures.append(
                     _failure(

@@ -16,6 +16,13 @@ strictly decreases from the focused node to every pending node it creates,
 where lambda counts not-yet-opened fixed-point pairs (closure sizes minus the
 memory entries still relevant to the pair) and delta is the (star height,
 tree depth) pair.  A violation raises ``EngineError`` instead of looping.
+
+Each call first builds one closure table.  It numbers every strategy either
+input can reach by the walk ``phi`` makes, unfolding each fixed point once,
+and stores phi of every numbered node as a bitset.  Each pending is measured
+once, when the step that opens it runs, by popcounts and bit tests on that
+table.  The same table tells which nodes a step copied from its focus, and
+gives rules 8a/8b their unfoldings.
 """
 
 from __future__ import annotations
@@ -99,6 +106,57 @@ def phi(s: Strat) -> frozenset:
     return frozenset(seen)
 
 
+def _closures(succ: list[list[int]]) -> list[int]:
+    """Everything each node of a numbered graph reaches, itself included, as
+    bitsets; the graph may have cycles.
+
+    Tarjan's strongly connected components, iteratively: a component is
+    complete only after every component it reaches, so its closure is its
+    own nodes plus the closures of its edges out (Purdom 1970).
+    """
+    n = len(succ)
+    order = [-1] * n  # visit order: -1 before the visit, n once in a component
+    low = [0] * n
+    closure = [0] * n
+    stack: list[int] = []
+    visits = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = visits
+        visits += 1
+        stack.append(root)
+        calls = [(root, iter(succ[root]))]
+        while calls:
+            v, edges = calls[-1]
+            for w in edges:
+                if order[w] < 0:
+                    order[w] = low[w] = visits
+                    visits += 1
+                    stack.append(w)
+                    calls.append((w, iter(succ[w])))
+                    break
+                if order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                calls.pop()
+                if calls and low[v] < low[calls[-1][0]]:
+                    low[calls[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    component, w = [], -1
+                    while w != v:
+                        w = stack.pop()
+                        component.append(w)
+                    bits = sum(1 << w for w in component)
+                    for w in component:
+                        order[w] = n
+                        for x in succ[w]:
+                            bits |= closure[x]  # 0 inside the component
+                    for w in component:
+                        closure[w] = bits
+    return closure
+
+
 # ---------------------------------------------------------------------------
 # rule machinery
 # ---------------------------------------------------------------------------
@@ -129,34 +187,64 @@ def _as_conj(s: Strat) -> Conj:
 
 
 class _Engine:
-    def __init__(self, policy: MergePolicy, arity_bound: int):
+    """One ``unify`` call: the rules and the closure table of both inputs.
+
+    ``number`` numbers every node either input reaches, ``closure[k]`` is phi
+    of node ``k`` as a bitset over those numbers, and ``unfoldings`` maps each
+    fixed point to its one-step unfolding.
+    """
+
+    def __init__(self, policy: MergePolicy, arity_bound: int, left: Strat, right: Strat):
         self.policy = policy
         self.arity_bound = arity_bound
         self.counter = 0
         self.spawned: list[Pending] = []
-        # phi, its fixed points and delta of each side, once per call
-        self.sides: dict[Strat, tuple[frozenset, frozenset, tuple[int, int]]] = {}
-
-    def side(self, s: Strat) -> tuple[frozenset, frozenset, tuple[int, int]]:
-        """phi(s), its fixed points, and delta(s)."""
-        got = self.sides.get(s)
-        if got is None:
-            full = phi(s)
-            mus = frozenset(x for x in full if isinstance(x, Mu))
-            got = self.sides[s] = (full, mus, delta(s))
-        return got
+        self.number: dict[Strat, int] = {}
+        self.unfoldings: dict[Mu, Strat] = {}
+        self.mus = self.svars = 0  # bitsets of the fixed points and of the variables
+        succ: list[tuple[Strat, ...]] = []
+        for side in (left, right):
+            # the walk of phi, with the size cap on each side's closure
+            seen: set = set()
+            work = [side]
+            while work:
+                node = work.pop()
+                if node in seen:
+                    continue
+                seen.add(node)
+                if len(seen) > _PHI_CAP:
+                    raise EngineError("closure exceeded size cap")
+                k = self.number.get(node)
+                if k is None:
+                    k = self.number[node] = len(succ)
+                    kids = children(node)
+                    if isinstance(node, Mu):
+                        self.mus |= 1 << k
+                        unfolding = self.unfoldings[node] = subst_var(node.body, node.var, node)
+                        kids += (unfolding,)
+                    elif isinstance(node, SVar):
+                        self.svars |= 1 << k
+                    succ.append(kids)
+                work.extend(succ[k])
+        self.closure = _closures([[self.number[c] for c in kids] for kids in succ])
 
     def measure(self, p: Pending) -> tuple[int, tuple[int, int], tuple[int, int]]:
-        phi_l, mu_l, delta_l = self.side(p.left)
-        phi_r, mu_r, delta_r = self.side(p.right)
-        products = len(mu_l) * len(phi_r) + len(phi_l) * len(mu_r)
-        relevant = 0
+        """(lambda, delta(left), delta(right)) of a pending pair.
+
+        lambda is |mus(phi_l)| * |phi_r| + |phi_l| * |mus(phi_r)| less the
+        memory entries (a, b) still relevant to the pair: a is a fixed point
+        of phi_l and b a non-variable of phi_r, or the other way round.
+        """
+        number = self.number
+        phi_l, phi_r = self.closure[number[p.left]], self.closure[number[p.right]]
+        mu_l, mu_r = phi_l & self.mus, phi_r & self.mus
+        rest_l, rest_r = phi_l & ~self.svars, phi_r & ~self.svars
+        lam = mu_l.bit_count() * phi_r.bit_count() + phi_l.bit_count() * mu_r.bit_count()
         for a, b, _ in p.memory:
-            if (a in mu_l and b in phi_r and not isinstance(b, SVar)) or (
-                a in phi_l and not isinstance(a, SVar) and b in mu_r
-            ):
-                relevant += 1
-        return (products - relevant, delta_l, delta_r)
+            i, j = number[a], number[b]
+            if (mu_l >> i & rest_r >> j | rest_l >> i & mu_r >> j) & 1:
+                lam -= 1
+        return (lam, delta(p.left), delta(p.right))
 
     def fresh(self) -> str:
         name = f"{_FRESH_PREFIX}{self.counter}"
@@ -250,13 +338,13 @@ class _Engine:
                 if a == s and b == r:
                     return "8a", SVar(z)
             z = self.fresh()
-            return "8a", Mu(z, self.pend(subst_var(s.body, s.var, s), r, mem | {(s, r, z)}))
+            return "8a", Mu(z, self.pend(self.unfoldings[s], r, mem | {(s, r, z)}))
         if isinstance(r, Mu):
             for a, b, z in mem:
                 if a == s and b == r:
                     return "8b", SVar(z)
             z = self.fresh()
-            return "8b", Mu(z, self.pend(s, subst_var(r.body, r.var, r), mem | {(s, r, z)}))
+            return "8b", Mu(z, self.pend(s, self.unfoldings[r], mem | {(s, r, z)}))
         raise EngineError(f"no rule applies to {s!r} / {r!r}")
 
 
@@ -274,6 +362,9 @@ def _reduce(engine: _Engine, root: Pending, trace: Optional[list]) -> Strat:
     measure of every sub-problem it opens drops strictly below the focus.
     """
     steps = 0
+    number, closure = engine.number, engine.closure
+    # each pending's measure, taken by the step that opened it
+    measured: dict[Pending, tuple] = {root: engine.measure(root)}
 
     def resolve(node: Pending, path: tuple[int, ...]) -> Strat:
         nonlocal steps
@@ -282,9 +373,9 @@ def _reduce(engine: _Engine, root: Pending, trace: Optional[list]) -> Strat:
             if steps >= _MAX_STEPS:
                 raise EngineError("reduction exceeded the step cap")
             steps += 1
-            focus = engine.measure(out)
+            focus = measured.pop(out)
             mem_size = len(out.memory)
-            copied = (engine.side(out.left)[0], engine.side(out.right)[0])
+            copied = closure[number[out.left]] | closure[number[out.right]]
             engine.spawned = []
             rule, out = engine.step(out)
             kids = [engine.measure(k) for k in engine.spawned]
@@ -293,6 +384,7 @@ def _reduce(engine: _Engine, root: Pending, trace: Optional[list]) -> Strat:
                     raise EngineError(
                         f"measure failed to decrease at rule {rule}: {focus} -> {kid}"
                     )
+            measured.update(zip(engine.spawned, kids))
             if trace is not None:
                 trace.append(
                     {
@@ -309,13 +401,14 @@ def _reduce(engine: _Engine, root: Pending, trace: Optional[list]) -> Strat:
             return out
         return descend(out, path, copied)
 
-    def descend(s: Strat, path: tuple[int, ...], copied: tuple[frozenset, frozenset]) -> Strat:
-        # Rules copy parts of the focus unchanged; those lie in its closures,
-        # hold no pending node, and stay shared.  Only the nodes a step built
-        # around a pending are rebuilt.
+    def descend(s: Strat, path: tuple[int, ...], copied: int) -> Strat:
+        # Rules copy parts of the focus unchanged; those lie in its closures
+        # (``copied``, a bitset of the table), hold no pending node, and stay
+        # shared.  Only the nodes a step built around a pending are rebuilt.
         if isinstance(s, Pending):
             return resolve(s, path)
-        if s in copied[0] or s in copied[1]:
+        bit = number.get(s)
+        if bit is not None and copied >> bit & 1:
             return s
         return rebuild(
             s,
@@ -401,7 +494,7 @@ def unify(
     _require_valid(r, "right")
     sig = DEFAULT_SIGNATURE if signature is None else signature
     r2 = alpha_rename(r, _names_in(s))
-    engine = _Engine(policy, max_arity(sig))
+    engine = _Engine(policy, max_arity(sig), s, r2)
     raw = _reduce(engine, Pending(s, r2, frozenset()), trace)
     used = set(_names_in(s) | _names_in(r)) | {
         n for n in _names_in(raw) if not n.startswith(_FRESH_PREFIX)

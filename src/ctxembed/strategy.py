@@ -21,15 +21,17 @@ conjunctions.
 
 Strategies are interned: building a node whose class and fields equal those
 of a live node returns that node, so structurally equal strategies are one
-object and equality and hashing are identity, O(1) at any depth.  Each node
-stores three facts when it is built, computed from its children: its free
-variables, its star height and its tree depth.
+object and equality and hashing are identity, O(1) at any depth.  The intern
+table holds weak references only, and each entry is removed when its node
+dies.  Each node stores three facts when it is built, computed from its
+children: its free variables, its star height and its tree depth.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
@@ -43,12 +45,26 @@ class ValidationFailure(ValueError):
     """A strategy does not satisfy a required structural property."""
 
 
-# Every node is built once: the table maps (class, *fields) to the live node
-# with those fields.  Children are interned before their parent, so a key
-# holds them by identity, and equality and hashing are those of the object.
-_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# Every node is built once: the table maps (class, *fields) to a weak
+# reference to the live node with those fields.  Children are interned before
+# their parent, so a key holds them by identity, and equality and hashing are
+# those of the object.
+_TABLE: dict[tuple, "_Ref"] = {}
 _LOCK = threading.Lock()
 _NO_NAMES: frozenset[str] = frozenset()
+
+
+class _Ref(weakref.ref):
+    """A table entry: a weak reference that knows its key."""
+
+    __slots__ = ("key",)
+
+
+def _drop(ref: _Ref, table=_TABLE, remove=_remove_dead_weakref) -> None:
+    # A node's death removes its entry, unless an equal node built since has
+    # taken the key: only an entry holding a dead reference goes.  No lock,
+    # since a collection can run this inside __new__, which holds _LOCK.
+    remove(table, ref.key)
 
 
 class _Node:
@@ -61,20 +77,27 @@ class _Node:
     __slots__ = ("free", "star_height", "tree_depth", "__weakref__")
 
     def __new__(cls, *args):
+        setters = _SETTERS[cls]
+        if len(args) != len(setters):
+            raise TypeError(f"{cls.__name__} takes {len(setters)} fields, got {len(args)}")
         key = (cls, *args)
         with _LOCK:  # a lookup and the insertion after it must not interleave
-            node = _TABLE.get(key)
-            if node is not None:
-                return node
+            ref = _TABLE.get(key)
+            if ref is not None:
+                node = ref()
+                if node is not None:
+                    return node
             node = object.__new__(cls)
-            for name, value in zip(cls.__match_args__, args, strict=True):
-                object.__setattr__(node, name, value)
+            for put, value in zip(setters, args):
+                put(node, value)
             free, height, tdepth = _NO_NAMES, 0, 0
             for kid in _CHILDREN[cls](node):
                 if kid.free:
                     free = free | kid.free if free else kid.free
-                height = max(height, kid.star_height)
-                tdepth = max(tdepth, kid.tree_depth)
+                if kid.star_height > height:
+                    height = kid.star_height
+                if kid.tree_depth > tdepth:
+                    tdepth = kid.tree_depth
             if cls is SVar:
                 free = frozenset((node.name,))
             elif cls is Mu:
@@ -83,15 +106,27 @@ class _Node:
                 tdepth += 2
             elif cls is not SFail:
                 tdepth += 1
-            object.__setattr__(node, "free", free)
-            object.__setattr__(node, "star_height", height)
-            object.__setattr__(node, "tree_depth", tdepth)
-            _TABLE[key] = node
+            _set_free(node, free)
+            _set_height(node, height)
+            _set_depth(node, tdepth)
+            ref = _Ref(node, _drop)
+            ref.key = key
+            _TABLE[key] = ref
         return node
 
 
+# Fields are set through the slots' own descriptors, which skip the frozen
+# dataclass's __setattr__: a constructor's setters, in field order.
+_SETTERS: dict[type, tuple[Callable, ...]] = {}
+_set_free = _Node.free.__set__
+_set_height = _Node.star_height.__set__
+_set_depth = _Node.tree_depth.__set__
+
+
 def _node(cls):
-    return dataclass(frozen=True, slots=True, eq=False, init=False)(cls)
+    cls = dataclass(frozen=True, slots=True, eq=False, init=False)(cls)
+    _SETTERS[cls] = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
+    return cls
 
 
 @_node

@@ -6,6 +6,7 @@ import pytest
 
 from ctxembed import cli
 from ctxembed import engine as engine_module
+from ctxembed.checks import GenConfig, gen_strategy
 from ctxembed.engine import (
     EngineError,
     combine,
@@ -24,6 +25,7 @@ from ctxembed.strategy import (
     SVar,
     ValidationFailure,
     alpha_eq,
+    delta,
     eval_strategy,
     jump,
     validate,
@@ -456,6 +458,63 @@ def test_reduction_checks_every_child_a_step_opens(monkeypatch):
     monkeypatch.setattr(engine_module._Engine, "step", stalling_step)
     with pytest.raises(EngineError, match="measure failed to decrease at rule 5a"):
         unify(Choice(Ins(TAU), Ins(SIGMA)), Ins(TAU_P))
+
+
+def _measure_from_phi(p, closures: dict) -> tuple:
+    """The measure by its definition, from ``phi`` of each side."""
+    for s in (p.left, p.right):
+        if s not in closures:
+            closures[s] = phi(s)
+    phi_l, phi_r = closures[p.left], closures[p.right]
+    mu_l = {x for x in phi_l if isinstance(x, Mu)}
+    mu_r = {x for x in phi_r if isinstance(x, Mu)}
+    relevant = sum(
+        1
+        for a, b, _ in p.memory
+        if (a in mu_l and b in phi_r and not isinstance(b, SVar))
+        or (a in phi_l and not isinstance(a, SVar) and b in mu_r)
+    )
+    lam = len(mu_l) * len(phi_r) + len(phi_l) * len(mu_r) - relevant
+    return (lam, delta(p.left), delta(p.right))
+
+
+def test_table_measure_matches_its_phi_definition(monkeypatch):
+    original = engine_module._Engine.measure
+    calls, closures = [], {}
+
+    def checked(self, p):
+        got = original(self, p)
+        assert got == _measure_from_phi(p, closures)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(engine_module._Engine, "measure", checked)
+    cfg = GenConfig(seed=5)
+    steps = with_binders = 0
+    for i in range(200):
+        s, r = gen_strategy(cfg, 2 * i), gen_strategy(cfg, 2 * i + 1)
+        with_binders += any(isinstance(x, Mu) for x in phi(s) | phi(r))
+        for op in (unify, combine):
+            for policy in MergePolicy:
+                trace: list = []
+                op(s, r, policy=policy, trace=trace)
+                steps += len(trace)
+    # one measure per pending: each is measured when opened, and read back
+    # when it becomes the focus of a step
+    assert len(calls) == steps > 0
+    assert with_binders >= 50
+
+
+def test_closure_cap_stops_unify(monkeypatch):
+    monkeypatch.setattr(engine_module, "_PHI_CAP", 3)
+    with pytest.raises(EngineError, match=r"^closure exceeded size cap$"):
+        unify(XI, XI_P)
+
+
+def test_step_cap_stops_unify(monkeypatch):
+    monkeypatch.setattr(engine_module, "_MAX_STEPS", 2)
+    with pytest.raises(EngineError, match=r"^reduction exceeded the step cap$"):
+        unify(XI, XI_P)
 
 
 # ---------------------------------------------------------------------------

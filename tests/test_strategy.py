@@ -343,6 +343,32 @@ def test_intern_table_drops_dead_nodes():
     assert len(_TABLE) == start
 
 
+def test_stale_death_callback_keeps_the_live_entry():
+    text = "mu Q. (a ; ins <f([])>) + @1.Q"
+    node = parse_strategy(text)
+    stale = next(ref for ref in _TABLE.values() if ref() is node)
+    callback = stale.__callback__  # cleared once it has run
+    del node
+    gc.collect()
+    assert stale() is None
+    live = parse_strategy(text)
+    # a death callback that runs late must not remove the entry of the equal
+    # node built since
+    callback(stale)
+    assert parse_strategy(text) is live
+    assert any(ref() is live for ref in _TABLE.values())
+
+
+def test_constructor_rejects_wrong_arity():
+    gc.collect()
+    start = len(_TABLE)
+    with pytest.raises(TypeError, match=r"^Choice takes 2 fields, got 1$"):
+        Choice(FAIL_S)
+    with pytest.raises(TypeError, match=r"^Choice takes 2 fields, got 3$"):
+        Choice(FAIL_S, FAIL_S, FAIL_S)
+    assert len(_TABLE) == start
+
+
 def test_threads_building_equal_strategies_get_one_node():
     built: list[list] = [[] for _ in range(4)]
 
