@@ -81,6 +81,8 @@ class GenConfig:
             raise SignatureError("the signature needs at least one constant")
         if self.max_strategy_depth < 1 or self.max_term_depth < 0:
             raise ValueError("generation bounds must be positive")
+        if self.cases < 0:
+            raise ValueError("the number of cases must not be negative")
 
 
 # binder names by nesting level; levels never collide, so shadowing and

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Commands: apply, unify, combine, psi, check, unfold, verify.  Exit codes:
-0 success, 1 strategy failure or law violation, 2 usage or parse error, or
-input nested too deeply for the command.  A parse error writes a line/column
-diagnostic to stderr and nothing to stdout; input nested too deeply writes a
-one-line diagnostic to stderr and nothing to stdout.
+0 success, 1 strategy failure or law violation, 2 usage or parse error, a
+strategy the command cannot take (such as an open one), or input nested too
+deeply for the command.  A parse error writes a line/column diagnostic to
+stderr and nothing to stdout; the other exit-2 cases write a one-line
+diagnostic to stderr and nothing to stdout.
 The --term/--strategy/--left/--right values name a file when one exists at
 that path and are parsed as inline text otherwise.
 """
@@ -180,10 +181,7 @@ def _unify_like(args: argparse.Namespace, op: Callable) -> int:
     r = _parse(parse_strategy, args.right, "right")
     sig = _signature_for(args, _embedded_terms(s) + _embedded_terms(r))
     trace: Optional[list] = [] if args.trace else None
-    try:
-        out = op(s, r, policy=MergePolicy(args.merge), signature=sig, trace=trace)
-    except ValidationFailure as err:
-        raise _Diag(str(err)) from err
+    out = op(s, r, policy=MergePolicy(args.merge), signature=sig, trace=trace)
     if args.json:
         doc = {"text": print_strategy(out), "strategy": to_json(out)}
         if trace is not None:
@@ -331,7 +329,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except _Diag as err:
+    except (_Diag, ValidationFailure) as err:
         print(err, file=sys.stderr)
         return 2
     except RecursionError:

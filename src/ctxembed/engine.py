@@ -3,32 +3,32 @@
 ``unify(S, R)`` builds a single strategy that, where both inputs succeed,
 performs the work of both (contexts merged inside-out, left outermost), and
 fails elsewhere.  ``combine(S, R)`` additionally falls back to either input
-alone.  The reduction works on trees containing ``Pending`` nodes (a pair of
-strategies waiting to be unified plus a memory of already-opened fixed-point
-pairs); rules fire by strict priority on the leftmost-outermost pending node,
-so reduction is deterministic.
+alone.  A rule fires on a pair of strategies (plus a memory of already-opened
+fixed-point pairs), chosen by strict priority, and opens sub-problems; each
+sub-problem is solved where the rule opens it, left to right, and the rule's
+output is built from the finished results, so reduction is deterministic.
 
-Termination is enforced, not assumed: every step asserts that the measure
+Termination is enforced, not assumed: ``solve`` hands a rule a ``sub``
+function that measures each sub-problem when the rule opens it and asserts
+that the measure
 
     (lambda, delta(left), delta(right))
 
-strictly decreases from the focused node to every pending node it creates,
-where lambda counts not-yet-opened fixed-point pairs (closure sizes minus the
-memory entries still relevant to the pair) and delta is the (star height,
-tree depth) pair.  A violation raises ``EngineError`` instead of looping.
+is strictly below that of the pair the rule fired on, before solving it.
+lambda counts not-yet-opened fixed-point pairs (closure sizes minus the memory
+entries still relevant to the pair) and delta is the (star height, tree depth)
+pair.  A violation raises ``EngineError`` instead of looping.
 
 Each call first builds one closure table.  It numbers every strategy either
 input can reach by the walk ``phi`` makes, unfolding each fixed point once,
-and stores phi of every numbered node as a bitset.  Each pending is measured
-once, when the step that opens it runs, by popcounts and bit tests on that
-table.  The same table tells which nodes a step copied from its focus, and
-gives rules 8a/8b their unfoldings.
+and stores phi of every numbered node as a bitset; a measure is a few
+popcounts and bit tests on that table.  The same walk gives rules 8a/8b their
+unfoldings and the names their new binders must avoid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from ctxembed.strategy import (
     FAIL_S,
@@ -48,7 +48,6 @@ from ctxembed.strategy import (
     delta,
     free_vars,
     fresh_name,
-    rebuild,
     simplify as simplify_strategy,
     subst_var,
     validate,
@@ -60,24 +59,13 @@ class EngineError(RuntimeError):
     """The reduction system violated one of its own invariants."""
 
 
-_FRESH_PREFIX = "Z#"
 _PHI_CAP = 100_000
 _MAX_STEPS = 1_000_000
 
-
-@dataclass(frozen=True, slots=True, eq=False)
-class Pending:
-    """A pair of strategies awaiting unification, with fixed-point memory.
-
-    Equality is identity, so no node built around a pending is shared with
-    another.  Such a node's stored facts come from the placeholders below and
-    are never read: ``descend`` replaces every node that holds a pending."""
-
-    left: Strat
-    right: Strat
-    memory: frozenset
-
-    free, star_height, tree_depth = frozenset(), 0, 0
+Measure = tuple[int, tuple[int, int], tuple[int, int]]
+# sub(left, right, memory, at) solves a sub-problem whose result sits at
+# position ``at`` of the rule's output
+Sub = Callable[[Strat, Strat, frozenset, tuple[int, ...]], Strat]
 
 
 # ---------------------------------------------------------------------------
@@ -174,31 +162,34 @@ def _never_fails(s: Strat) -> bool:
     return False
 
 
-def _gate(conds: list[Strat], body: Strat) -> Strat:
-    for cond in reversed([c for c in conds if not _never_fails(c)]):
-        body = IfThen(cond, body)
-    return body
-
-
-def _as_conj(s: Strat) -> Conj:
-    if isinstance(s, Conj):
-        return s
-    return Conj(((None, s),))
+def _gate(s: Strat, r: Strat, body: Callable[[tuple[int, ...]], Strat]) -> Strat:
+    """``body(at)`` under an IfThen for each of ``s``, ``r`` that can fail;
+    ``at`` is where the body sits below those gates."""
+    conds = [c for c in (s, r) if not _never_fails(c)]
+    out = body((2,) * len(conds))
+    for cond in reversed(conds):
+        out = IfThen(cond, out)
+    return out
 
 
 class _Engine:
     """One ``unify`` call: the rules and the closure table of both inputs.
 
     ``number`` numbers every node either input reaches, ``closure[k]`` is phi
-    of node ``k`` as a bitset over those numbers, and ``unfoldings`` maps each
-    fixed point to its one-step unfolding.
+    of node ``k`` as a bitset over those numbers, ``unfoldings`` maps each
+    fixed point to its one-step unfolding, and ``taken`` holds every variable
+    name of both inputs plus the binder names made so far.
     """
 
-    def __init__(self, policy: MergePolicy, arity_bound: int, left: Strat, right: Strat):
+    def __init__(
+        self, policy: MergePolicy, arity_bound: int, left: Strat, right: Strat,
+        trace: Optional[list],
+    ):
         self.policy = policy
         self.arity_bound = arity_bound
-        self.counter = 0
-        self.spawned: list[Pending] = []
+        self.trace = trace
+        self.steps = 0
+        self.taken: set[str] = set()
         self.number: dict[Strat, int] = {}
         self.unfoldings: dict[Mu, Strat] = {}
         self.mus = self.svars = 0  # bitsets of the fixed points and of the variables
@@ -220,75 +211,115 @@ class _Engine:
                     kids = children(node)
                     if isinstance(node, Mu):
                         self.mus |= 1 << k
+                        self.taken.add(node.var)
                         unfolding = self.unfoldings[node] = subst_var(node.body, node.var, node)
                         kids += (unfolding,)
                     elif isinstance(node, SVar):
                         self.svars |= 1 << k
+                        self.taken.add(node.name)
                     succ.append(kids)
                 work.extend(succ[k])
         self.closure = _closures([[self.number[c] for c in kids] for kids in succ])
 
-    def measure(self, p: Pending) -> tuple[int, tuple[int, int], tuple[int, int]]:
-        """(lambda, delta(left), delta(right)) of a pending pair.
+    def measure(self, left: Strat, right: Strat, memory: frozenset) -> Measure:
+        """(lambda, delta(left), delta(right)) of a pair.
 
         lambda is |mus(phi_l)| * |phi_r| + |phi_l| * |mus(phi_r)| less the
         memory entries (a, b) still relevant to the pair: a is a fixed point
         of phi_l and b a non-variable of phi_r, or the other way round.
         """
         number = self.number
-        phi_l, phi_r = self.closure[number[p.left]], self.closure[number[p.right]]
+        phi_l, phi_r = self.closure[number[left]], self.closure[number[right]]
         mu_l, mu_r = phi_l & self.mus, phi_r & self.mus
         rest_l, rest_r = phi_l & ~self.svars, phi_r & ~self.svars
         lam = mu_l.bit_count() * phi_r.bit_count() + phi_l.bit_count() * mu_r.bit_count()
-        for a, b, _ in p.memory:
+        for a, b, _ in memory:
             i, j = number[a], number[b]
             if (mu_l >> i & rest_r >> j | rest_l >> i & mu_r >> j) & 1:
                 lam -= 1
-        return (lam, delta(p.left), delta(p.right))
+        return (lam, delta(left), delta(right))
 
-    def fresh(self) -> str:
-        name = f"{_FRESH_PREFIX}{self.counter}"
-        self.counter += 1
-        return name
-
-    def pend(self, left: Strat, right: Strat, mem: frozenset) -> Pending:
-        """Every rule opens sub-problems through here so the reduction loop
-        can assert the measure drops on each one."""
-        p = Pending(left, right, mem)
-        self.spawned.append(p)
-        return p
-
-    def expand_most(self, m: Most) -> Conj:
-        return Conj(tuple((i, m.body) for i in range(1, self.arity_bound + 1)))
-
-    def combine_conjs(
-        self, sc: Conj, rc: Conj, mem: frozenset, orig_s: Strat, orig_r: Strat
+    def solve(
+        self, s: Strat, r: Strat, mem: frozenset, focus: Measure, path: tuple[int, ...]
     ) -> Strat:
+        """The unification of ``s`` and ``r``, whose measure is ``focus``;
+        ``path`` is where it sits in the whole output, for the trace."""
+        if self.steps >= _MAX_STEPS:
+            raise EngineError("reduction exceeded the step cap")
+        self.steps += 1
+        rule, out = self.step(s, r, mem)
+        opened: list = []
+        if self.trace is not None:
+            self.trace.append(
+                {
+                    "rule": rule,
+                    "path": ".".join(str(i) for i in path) if path else "eps",
+                    "lambda": focus[0],
+                    "dl": list(focus[1]),
+                    "dr": list(focus[2]),
+                    "mem": len(mem),
+                    "children": opened,
+                }
+            )
+        if not callable(out):
+            return out
+
+        def sub(left: Strat, right: Strat, memory: frozenset, at: tuple[int, ...]) -> Strat:
+            kid = self.measure(left, right, memory)
+            if not kid < focus:
+                raise EngineError(f"measure failed to decrease at rule {rule}: {focus} -> {kid}")
+            opened.append([kid[0], list(kid[1]), list(kid[2])])
+            return self.solve(left, right, memory, kid, path + at)
+
+        return out(sub)
+
+    def as_conj(self, s: Strat) -> Conj:
+        if isinstance(s, Most):
+            return Conj(tuple((i, s.body) for i in range(1, self.arity_bound + 1)))
+        return s if isinstance(s, Conj) else Conj(((None, s),))
+
+    def combine_conjs(self, sub: Sub, s: Strat, r: Strat, mem: frozenset) -> Strat:
+        """Rules 4b, 7b and 7c: ``s`` and ``r`` as maps, entry by entry."""
+        sc, rc = self.as_conj(s), self.as_conj(r)
         l_num = [(i, b) for i, b in sc.entries if i is not None]
         r_num = [(j, b) for j, b in rc.entries if j is not None]
         l_eps = [b for i, b in sc.entries if i is None]
         r_eps = [b for j, b in rc.entries if j is None]
         lmap, rmap = dict(l_num), dict(r_num)
-        out: list[tuple[Optional[int], Strat]] = []
-        for i, b in l_num:
-            if i in rmap:
-                out.append((i, Choice(Choice(self.pend(b, rmap[i], mem), b), rmap[i])))
-        for i, b in l_num:
-            if i not in rmap:
-                out.append((i, b))
-        for j, b in r_num:
-            if j not in lmap:
-                out.append((j, b))
-        if l_eps and r_eps:
-            out.append((None, Ins(merge(l_eps[0].ctx, r_eps[0].ctx, self.policy))))
-        elif l_eps:
-            out.append((None, l_eps[0]))
-        elif r_eps:
-            out.append((None, r_eps[0]))
-        return _gate([orig_s, orig_r], Conj(tuple(out)))
 
-    def step(self, p: Pending) -> tuple[str, Strat]:
-        s, r, mem = p.left, p.right, p.memory
+        def conj(at: tuple[int, ...]) -> Conj:
+            out: list[tuple[Optional[int], Strat]] = []
+            for i, b in l_num:
+                if i in rmap:
+                    joint = sub(b, rmap[i], mem, at + (len(out) + 1, 1, 1))
+                    out.append((i, Choice(Choice(joint, b), rmap[i])))
+            for i, b in l_num:
+                if i not in rmap:
+                    out.append((i, b))
+            for j, b in r_num:
+                if j not in lmap:
+                    out.append((j, b))
+            if l_eps and r_eps:
+                out.append((None, Ins(merge(l_eps[0].ctx, r_eps[0].ctx, self.policy))))
+            elif l_eps:
+                out.append((None, l_eps[0]))
+            elif r_eps:
+                out.append((None, r_eps[0]))
+            return Conj(tuple(out))
+
+        return _gate(s, r, conj)
+
+    def bind(self, sub: Sub, s: Strat, r: Strat, mem: frozenset, left: Strat, right: Strat) -> Mu:
+        """A new binder for the pair (s, r), whose body solves (left, right)."""
+        z = fresh_name("Z", self.taken)
+        return Mu(z, sub(left, right, mem | {(s, r, z)}, (1,)))
+
+    def step(
+        self, s: Strat, r: Strat, mem: frozenset
+    ) -> tuple[str, Strat | Callable[[Sub], Strat]]:
+        """The rule that fires on (s, r) and its output: finished, or a
+        function that builds it from ``sub``, which solves each sub-problem
+        the rule opens."""
         if isinstance(s, SFail):
             return "1a", FAIL_S
         if isinstance(r, SFail):
@@ -296,126 +327,52 @@ class _Engine:
         if isinstance(s, Ins) and isinstance(r, Ins):
             return "2", Ins(merge(s.ctx, r.ctx, self.policy))
         if isinstance(s, Guard):
-            return "3a", Guard(s.pattern, self.pend(s.body, r, mem))
+            return "3a", lambda sub: Guard(s.pattern, sub(s.body, r, mem, (1,)))
         if isinstance(r, Guard):
-            return "3b", Guard(r.pattern, self.pend(s, r.body, mem))
-        if isinstance(s, Conj) and isinstance(r, Conj):
+            return "3b", lambda sub: Guard(r.pattern, sub(s, r.body, mem, (1,)))
+        if isinstance(s, (Conj, Ins)) and isinstance(r, (Conj, Ins)):
             if (
-                len(s.entries) == 1
-                and len(r.entries) == 1
+                isinstance(s, Conj)
+                and isinstance(r, Conj)
+                and len(s.entries) == len(r.entries) == 1
                 and s.entries[0][0] is not None
                 and s.entries[0][0] == r.entries[0][0]
             ):
                 i, sb = s.entries[0]
                 _, rb = r.entries[0]
-                return "4a", Conj(((i, self.pend(sb, rb, mem)),))
-            return "4b", self.combine_conjs(s, r, mem, s, r)
-        if isinstance(s, Ins) and isinstance(r, Conj):
-            return "4b", self.combine_conjs(_as_conj(s), r, mem, s, r)
-        if isinstance(s, Conj) and isinstance(r, Ins):
-            return "4b", self.combine_conjs(s, _as_conj(r), mem, s, r)
+                return "4a", lambda sub: Conj(((i, sub(sb, rb, mem, (1,))),))
+            return "4b", lambda sub: self.combine_conjs(sub, s, r, mem)
         if isinstance(s, Choice):
-            return "5a", Choice(self.pend(s.left, r, mem), self.pend(s.right, r, mem))
+            return "5a", lambda sub: Choice(sub(s.left, r, mem, (1,)), sub(s.right, r, mem, (2,)))
         if isinstance(r, Choice):
-            return "5b", Choice(self.pend(s, r.left, mem), self.pend(s, r.right, mem))
+            return "5b", lambda sub: Choice(sub(s, r.left, mem, (1,)), sub(s, r.right, mem, (2,)))
         if isinstance(s, IfThen):
-            return "6a", IfThen(s.cond, self.pend(s.body, r, mem))
+            return "6a", lambda sub: IfThen(s.cond, sub(s.body, r, mem, (2,)))
         if isinstance(r, IfThen):
-            return "6b", IfThen(r.cond, self.pend(s, r.body, mem))
+            return "6b", lambda sub: IfThen(r.cond, sub(s, r.body, mem, (2,)))
         if isinstance(s, Most) and isinstance(r, Most):
-            inner = Choice(Choice(self.pend(s.body, r.body, mem), s.body), r.body)
-            return "7a", _gate([s, r], Most(inner))
+            return "7a", lambda sub: _gate(s, r, lambda at: Most(
+                Choice(Choice(sub(s.body, r.body, mem, at + (1, 1, 1)), s.body), r.body)
+            ))
         if isinstance(s, Most) and isinstance(r, (Conj, Ins)):
             if self.arity_bound == 0:
                 return "7b", FAIL_S
-            return "7b", self.combine_conjs(self.expand_most(s), _as_conj(r), mem, s, r)
+            return "7b", lambda sub: self.combine_conjs(sub, s, r, mem)
         if isinstance(s, (Conj, Ins)) and isinstance(r, Most):
             if self.arity_bound == 0:
                 return "7c", FAIL_S
-            return "7c", self.combine_conjs(_as_conj(s), self.expand_most(r), mem, s, r)
+            return "7c", lambda sub: self.combine_conjs(sub, s, r, mem)
         if isinstance(s, Mu):
             for a, b, z in mem:
                 if a == s and b == r:
                     return "8a", SVar(z)
-            z = self.fresh()
-            return "8a", Mu(z, self.pend(self.unfoldings[s], r, mem | {(s, r, z)}))
+            return "8a", lambda sub: self.bind(sub, s, r, mem, self.unfoldings[s], r)
         if isinstance(r, Mu):
             for a, b, z in mem:
                 if a == s and b == r:
                     return "8b", SVar(z)
-            z = self.fresh()
-            return "8b", Mu(z, self.pend(s, self.unfoldings[r], mem | {(s, r, z)}))
+            return "8b", lambda sub: self.bind(sub, s, r, mem, s, self.unfoldings[r])
         raise EngineError(f"no rule applies to {s!r} / {r!r}")
-
-
-# ---------------------------------------------------------------------------
-# reduction
-# ---------------------------------------------------------------------------
-
-
-def _reduce(engine: _Engine, root: Pending, trace: Optional[list]) -> Strat:
-    """Normalize every pending node in one depth-first pass.
-
-    Pendings never interact (each carries its own memory), so the result does
-    not depend on scheduling; descending once and rewriting in place avoids
-    re-scanning the tree after every step.  Each step asserts that the
-    measure of every sub-problem it opens drops strictly below the focus.
-    """
-    steps = 0
-    number, closure = engine.number, engine.closure
-    # each pending's measure, taken by the step that opened it
-    measured: dict[Pending, tuple] = {root: engine.measure(root)}
-
-    def resolve(node: Pending, path: tuple[int, ...]) -> Strat:
-        nonlocal steps
-        out: Strat = node
-        while isinstance(out, Pending):
-            if steps >= _MAX_STEPS:
-                raise EngineError("reduction exceeded the step cap")
-            steps += 1
-            focus = measured.pop(out)
-            mem_size = len(out.memory)
-            copied = closure[number[out.left]] | closure[number[out.right]]
-            engine.spawned = []
-            rule, out = engine.step(out)
-            kids = [engine.measure(k) for k in engine.spawned]
-            for kid in kids:
-                if not kid < focus:
-                    raise EngineError(
-                        f"measure failed to decrease at rule {rule}: {focus} -> {kid}"
-                    )
-            measured.update(zip(engine.spawned, kids))
-            if trace is not None:
-                trace.append(
-                    {
-                        "rule": rule,
-                        "path": ".".join(str(i) for i in path) if path else "eps",
-                        "lambda": focus[0],
-                        "dl": list(focus[1]),
-                        "dr": list(focus[2]),
-                        "mem": mem_size,
-                        "children": [[m[0], list(m[1]), list(m[2])] for m in kids],
-                    }
-                )
-        if not engine.spawned:
-            return out
-        return descend(out, path, copied)
-
-    def descend(s: Strat, path: tuple[int, ...], copied: int) -> Strat:
-        # Rules copy parts of the focus unchanged; those lie in its closures
-        # (``copied``, a bitset of the table), hold no pending node, and stay
-        # shared.  Only the nodes a step built around a pending are rebuilt.
-        if isinstance(s, Pending):
-            return resolve(s, path)
-        bit = number.get(s)
-        if bit is not None and copied >> bit & 1:
-            return s
-        return rebuild(
-            s,
-            tuple(descend(c, path + (k,), copied) for k, c in enumerate(children(s), start=1)),
-        )
-
-    return resolve(root, ())
 
 
 # ---------------------------------------------------------------------------
@@ -455,31 +412,6 @@ def _require_valid(s: Strat, side: str) -> None:
         raise ValidationFailure("conjunction entries at the root must be insertions")
 
 
-def _rename_fresh(s: Strat, used: set[str]) -> Strat:
-    """Give engine-generated binders readable names, in first-use order.
-
-    Each generated name binds exactly one node, visited before its body, so a
-    subtree renames the same way wherever it recurs and is renamed once.
-    """
-    assigned: dict[str, str] = {}
-    memo: dict[Strat, Strat] = {}
-
-    def walk(node: Strat) -> Strat:
-        out = memo.get(node)
-        if out is None:
-            if isinstance(node, Mu) and node.var.startswith(_FRESH_PREFIX):
-                assigned[node.var] = fresh_name("Z", used)
-                out = Mu(assigned[node.var], walk(node.body))
-            elif isinstance(node, SVar):
-                out = SVar(assigned[node.name]) if node.name in assigned else node
-            else:
-                out = rebuild(node, tuple(walk(c) for c in children(node)))
-            memo[node] = out
-        return out
-
-    return walk(s)
-
-
 def unify(
     s: Strat,
     r: Strat,
@@ -494,12 +426,9 @@ def unify(
     _require_valid(r, "right")
     sig = DEFAULT_SIGNATURE if signature is None else signature
     r2 = alpha_rename(r, _names_in(s))
-    engine = _Engine(policy, max_arity(sig), s, r2)
-    raw = _reduce(engine, Pending(s, r2, frozenset()), trace)
-    used = set(_names_in(s) | _names_in(r)) | {
-        n for n in _names_in(raw) if not n.startswith(_FRESH_PREFIX)
-    }
-    out = _rename_fresh(raw, used)
+    engine = _Engine(policy, max_arity(sig), s, r2, trace)
+    empty = frozenset()
+    out = engine.solve(s, r2, empty, engine.measure(s, r2, empty), ())
     return simplify_strategy(out) if simplify_output else out
 
 

@@ -521,30 +521,35 @@ def simplify(s: Strat) -> Strat:
     An unused binder only disappears when its body fails on every constant:
     the zero iterate makes every fixed point fail on arity-0 terms, so
     dropping mu from a body that succeeds there would change the semantics.
-    Shared subtrees are simplified once.
+    Shared subtrees are simplified once, children before their parent, on an
+    explicit stack.
     """
     memo: dict[Strat, Strat] = {}
-
-    def walk(node: Strat) -> Strat:
-        out = memo.get(node)
-        if out is None:
-            kids = tuple(walk(c) for c in children(node))
-            if isinstance(node, Choice) and isinstance(kids[0], SFail):
-                out = kids[1]
-            elif isinstance(node, Choice) and isinstance(kids[1], SFail):
-                out = kids[0]
-            elif (
-                isinstance(node, Mu)
-                and node.var not in free_vars(kids[0])
-                and fails_on_constants(kids[0])
-            ):
-                out = kids[0]
-            else:
-                out = rebuild(node, kids)
-            memo[node] = out
-        return out
-
-    return walk(s)
+    stack: list = [s]
+    while stack:
+        node = stack.pop()
+        if type(node) is not tuple:
+            if node not in memo:
+                # (node,) comes back off the stack once its children are done
+                stack.append((node,))
+                stack.extend(children(node))
+            continue
+        node = node[0]
+        kids = tuple([memo[c] for c in children(node)])
+        if isinstance(node, Choice) and isinstance(kids[0], SFail):
+            out = kids[1]
+        elif isinstance(node, Choice) and isinstance(kids[1], SFail):
+            out = kids[0]
+        elif (
+            isinstance(node, Mu)
+            and node.var not in free_vars(kids[0])
+            and fails_on_constants(kids[0])
+        ):
+            out = kids[0]
+        else:
+            out = rebuild(node, kids)
+        memo[node] = out
+    return memo[s]
 
 
 # ---------------------------------------------------------------------------

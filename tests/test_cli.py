@@ -156,8 +156,18 @@ def test_combine_falls_back_to_either_side(capsys):
     assert eval_strategy(got, App("b")) == App("f", (App("b"),))
 
 
-def test_open_input_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "unify", "--left", "X", "--right", "fail")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("unify", "--left", "X", "--right", "fail"),
+        ("apply", "--term", "f(a)", "--strategy", "X"),
+        ("apply", "--term", "f(a)", "--strategy", "@1.X"),
+        ("psi", "--term", "f(a)", "--strategy", "X"),
+    ],
+    ids=["unify", "apply", "apply-jump", "psi"],
+)
+def test_open_input_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and "open" in err
 
@@ -313,6 +323,12 @@ def test_verify_signature_needs_a_constant(tmp_path, capsys):
                          "--signature", str(sigfile))
     assert code == 2
     assert out == "" and "constant" in err
+
+
+def test_verify_rejects_a_negative_case_count(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "homomorphism", "--cases", "-3")
+    assert code == 2
+    assert out == "" and "cases" in err
 
 
 def test_unknown_command_is_a_usage_error(capsys):

@@ -30,7 +30,7 @@ from ctxembed.strategy import (
     jump,
     validate,
 )
-from ctxembed.syntax import parse_strategy
+from ctxembed.syntax import parse_strategy, print_term
 from ctxembed.terms import HOLE, App, Context, MergePolicy, Var, merge
 
 
@@ -434,15 +434,34 @@ def test_measures_decrease_on_most_expansion():
             assert _lex(child) < focus
 
 
+def test_trace_paths_locate_each_step_in_the_output():
+    # a gate (IfThen) puts its body at child 2; a gated 4b/7b entry k opens
+    # its joint sub-problem at k.1.1 below the gates
+    trace = []
+    unify(
+        parse_strategy("most(ins <f([])>) + if a ; ins <[]> then @1.ins <g([],a)>"),
+        parse_strategy("[@1.ins <f([])>, @eps.ins <g(a,[])>]"),
+        trace=trace,
+    )
+    assert [(e["rule"], e["path"]) for e in trace] == [
+        ("5a", "eps"),
+        ("7b", "1"),
+        ("2", "1.2.1.1.1"),
+        ("6a", "2"),
+        ("4b", "2.2"),
+        ("2", "2.2.2.1.1.1"),
+    ]
+
+
 def test_reduction_stops_a_child_that_does_not_shrink(monkeypatch):
     # a rule that reopens its own focus below the root would loop forever;
     # the per-step check must catch it on every step, not only the first
     original = engine_module._Engine.step
 
-    def stalling_step(self, p):
-        if isinstance(p.left, Ins) and isinstance(p.right, Ins):
-            return "2", Guard(Var("x"), self.pend(p.left, p.right, p.memory))
-        return original(self, p)
+    def stalling_step(self, s, r, mem):
+        if isinstance(s, Ins) and isinstance(r, Ins):
+            return "2", lambda sub: Guard(Var("x"), sub(s, r, mem, (1,)))
+        return original(self, s, r, mem)
 
     monkeypatch.setattr(engine_module._Engine, "step", stalling_step)
     with pytest.raises(EngineError, match="measure failed to decrease at rule 2"):
@@ -450,41 +469,45 @@ def test_reduction_stops_a_child_that_does_not_shrink(monkeypatch):
 
 
 def test_reduction_checks_every_child_a_step_opens(monkeypatch):
-    # the first child shrinks, the second repeats the focus
-    def stalling_step(self, p):
-        s, r, mem = p.left, p.right, p.memory
-        return "5a", Choice(self.pend(s.left, r, mem), self.pend(s, r, mem))
+    # the first child shrinks and is solved by the real rules, the second
+    # repeats the focus
+    original = engine_module._Engine.step
+
+    def stalling_step(self, s, r, mem):
+        if not isinstance(s, Choice):
+            return original(self, s, r, mem)
+        return "5a", lambda sub: Choice(sub(s.left, r, mem, (1,)), sub(s, r, mem, (2,)))
 
     monkeypatch.setattr(engine_module._Engine, "step", stalling_step)
     with pytest.raises(EngineError, match="measure failed to decrease at rule 5a"):
         unify(Choice(Ins(TAU), Ins(SIGMA)), Ins(TAU_P))
 
 
-def _measure_from_phi(p, closures: dict) -> tuple:
+def _measure_from_phi(left, right, memory, closures: dict) -> tuple:
     """The measure by its definition, from ``phi`` of each side."""
-    for s in (p.left, p.right):
+    for s in (left, right):
         if s not in closures:
             closures[s] = phi(s)
-    phi_l, phi_r = closures[p.left], closures[p.right]
+    phi_l, phi_r = closures[left], closures[right]
     mu_l = {x for x in phi_l if isinstance(x, Mu)}
     mu_r = {x for x in phi_r if isinstance(x, Mu)}
     relevant = sum(
         1
-        for a, b, _ in p.memory
+        for a, b, _ in memory
         if (a in mu_l and b in phi_r and not isinstance(b, SVar))
         or (a in phi_l and not isinstance(a, SVar) and b in mu_r)
     )
     lam = len(mu_l) * len(phi_r) + len(phi_l) * len(mu_r) - relevant
-    return (lam, delta(p.left), delta(p.right))
+    return (lam, delta(left), delta(right))
 
 
 def test_table_measure_matches_its_phi_definition(monkeypatch):
     original = engine_module._Engine.measure
     calls, closures = [], {}
 
-    def checked(self, p):
-        got = original(self, p)
-        assert got == _measure_from_phi(p, closures)
+    def checked(self, left, right, memory):
+        got = original(self, left, right, memory)
+        assert got == _measure_from_phi(left, right, memory, closures)
         calls.append(got)
         return got
 
@@ -499,8 +522,8 @@ def test_table_measure_matches_its_phi_definition(monkeypatch):
                 trace: list = []
                 op(s, r, policy=policy, trace=trace)
                 steps += len(trace)
-    # one measure per pending: each is measured when opened, and read back
-    # when it becomes the focus of a step
+    # one measure per sub-problem: each is measured when its rule opens it,
+    # and that measure is the focus of the step that solves it
     assert len(calls) == steps > 0
     assert with_binders >= 50
 
@@ -515,6 +538,20 @@ def test_step_cap_stops_unify(monkeypatch):
     monkeypatch.setattr(engine_module, "_MAX_STEPS", 2)
     with pytest.raises(EngineError, match=r"^reduction exceeded the step cap$"):
         unify(XI, XI_P)
+
+
+def test_unify_reaches_250_nested_indices():
+    # neither solving the sub-problems nor simplifying the output may cost
+    # more than a few frames per level of the inputs
+    s = Mu("X", jump((1,) * 250, Choice(Ins(Context(HOLE)), SVar("X"))))
+    got = unify(s, s)
+    spine = a()
+    for _ in range(250):
+        spine = f(spine)
+    # printed, because comparing terms this deep recurses
+    assert print_term(eval_strategy(got, spine)) == print_term(spine)
+    assert print_term(eval_strategy(got, f(spine))) == print_term(f(spine))
+    assert eval_strategy(got, f(a())) is None
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,7 @@ def test_strategy_10000_deep_needs_no_recursion():
     assert delta(s) == (star_height(s), tree_depth(s)) == (1, 10_002)
     assert validate(s).ok
     assert star_height(td(s)) == 2
+    assert simplify(s) is s
 
 
 # ---------------------------------------------------------------------------
