@@ -38,7 +38,7 @@ from itertools import count
 from operator import is_, itemgetter
 from typing import Callable, Iterator, Mapping, Optional, Union
 
-from ctxembed.terms import App, Context, Position, Term, arity_at_root, depth, match
+from ctxembed.terms import App, Context, Position, Term, depth, match
 
 
 class ValidationFailure(ValueError):
@@ -300,18 +300,38 @@ def eval_strategy(s: Strat, t: Term) -> Optional[Term]:
 
 def _eval(s: Strat, t: Term, env: Env) -> Optional[Term]:
     # Tail positions rebind s and env and loop instead of recursing, so an
-    # unfolding costs no Python frame of its own.  A map leaves the loop and
-    # runs its entries below in this same frame: one frame per term level.
+    # unfolding costs no Python frame of its own.  Maps and Most run their
+    # entries in this same frame: one frame per term level.  The tests go on
+    # the exact type, most frequent first.
     while True:
-        if isinstance(s, Conj):
-            entries = s.entries
-            break
-        if isinstance(s, Choice):
+        cls = type(s)
+        if cls is Choice:
             got = _eval(s.left, t, env)
             if got is not None:
                 return got
             s = s.right
-        elif isinstance(s, SVar):
+        elif cls is Conj:
+            # The entries apply left to right to the running result, and the
+            # map fails only when every entry fails on the unmodified input.
+            # Until the first entry succeeds the running result is that input,
+            # so one pass evaluates each entry once and settles both the gate
+            # and the result.
+            out, hit = t, False
+            for i, b in s.entries:
+                if i is None:
+                    got = _eval(b, out, env)
+                elif type(out) is App and 1 <= i <= len(out.args):
+                    got = _eval(b, out.args[i - 1], env)
+                    if got is not None:
+                        got = App(out.head, out.args[: i - 1] + (got,) + out.args[i:])
+                else:
+                    continue
+                if got is not None:
+                    out, hit = got, True
+            return out if hit else None
+        elif cls is Ins:
+            return s.ctx.fill(t)
+        elif cls is SVar:
             name = s.name
             if name not in env:
                 raise ValidationFailure(f"cannot evaluate open strategy (free {name})")
@@ -319,46 +339,36 @@ def _eval(s: Strat, t: Term, env: Env) -> Optional[Term]:
             if left == 0:
                 return None
             env = {**defined, name: (s, defined, left - 1)}
-        elif isinstance(s, Ins):
-            return s.ctx.fill(t)
-        elif isinstance(s, Guard):
+        elif cls is Guard:
             if match(s.pattern, t) is None:
                 return None
             s = s.body
-        elif isinstance(s, Mu):
+        elif cls is Mu:
             n = depth(t)
             if n == 0:
                 return None
             env = {**env, s.var: (s.body, env, n - 1)}
             s = s.body
-        elif isinstance(s, Most):
-            entries = tuple((i, s.body) for i in range(1, arity_at_root(t) + 1))
-            break
-        elif isinstance(s, IfThen):
+        elif cls is Most:
+            # the body at each child, left to right; fails when all of them fail
+            if type(t) is not App:
+                return None
+            body, args, new = s.body, t.args, None
+            for k, c in enumerate(args):
+                got = _eval(body, c, env)
+                if got is not None:
+                    if new is None:
+                        new = list(args)
+                    new[k] = got
+            return None if new is None else App(t.head, tuple(new))
+        elif cls is IfThen:
             if _eval(s.cond, t, env) is None:
                 return None
             s = s.body
-        elif isinstance(s, SFail):
+        elif cls is SFail:
             return None
         else:
             raise TypeError(f"not a strategy: {s!r}")
-    # The entries apply left to right to the running result, and the map fails
-    # only when every entry fails on the unmodified input.  Until the first
-    # entry succeeds the running result is that input, so one pass evaluates
-    # each entry once and settles both the gate and the result.
-    out, hit = t, False
-    for i, b in entries:
-        if i is None:
-            got = _eval(b, out, env)
-        elif isinstance(out, App) and 1 <= i <= len(out.args):
-            got = _eval(b, out.args[i - 1], env)
-            if got is not None:
-                got = App(out.head, out.args[: i - 1] + (got,) + out.args[i:])
-        else:
-            continue
-        if got is not None:
-            out, hit = got, True
-    return out if hit else None
 
 
 def fresh_name(base: str, taken: set[str]) -> str:

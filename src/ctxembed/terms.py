@@ -54,15 +54,83 @@ class Var:
     _hash: Optional[int] = field(**_HASH_FIELD)
 
 
-@cached_hash
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class App:
-    """Application of a symbol to child terms; constants have no children."""
+    """Application of a symbol to child terms; constants have no children.
+
+    Equality and hashing are structural and run on explicit stacks, so terms
+    of any depth compare and hash.  The hash is that of ``(head, args)``,
+    computed once per node and kept on it.
+    """
 
     head: str
     args: tuple["CtxTerm", ...] = ()
     _hash: Optional[int] = field(**_HASH_FIELD)
     _depth: Optional[int] = field(**_HASH_FIELD)
+
+    def __init__(self, head: str, args: tuple["CtxTerm", ...] = ()) -> None:
+        # the slots' own descriptors skip the frozen class's __setattr__
+        _set_head(self, head)
+        _set_args(self, args)
+        _set_hash(self, None)
+        _set_depth(self, None)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not App:
+            return NotImplemented
+        x, y, stack = self, other, []
+        while True:
+            if x is not y:
+                hx, hy = x._hash, y._hash
+                if (
+                    x.head != y.head
+                    or len(x.args) != len(y.args)
+                    or (hx is not None and hy is not None and hx != hy)
+                ):
+                    return False
+                for cx, cy in zip(x.args, y.args):
+                    if cx is cy:
+                        continue
+                    if type(cx) is App and type(cy) is App:
+                        # two constants are settled here, without a stack entry
+                        if cx.args or cy.args:
+                            stack.append((cx, cy))
+                        elif cx.head != cy.head:
+                            return False
+                    elif cx != cy:
+                        return False
+            if not stack:
+                return True
+            x, y = stack.pop()
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            # children first: a node is hashed once every App child has its
+            # hash, so hashing (head, args) reads them without recursing;
+            # constants are settled in place
+            stack = [self]
+            while stack:
+                node = stack[-1]
+                ready = True
+                for c in node.args:
+                    if type(c) is App and c._hash is None:
+                        if c.args:
+                            ready = False
+                            stack.append(c)
+                        else:
+                            _set_hash(c, hash((c.head, c.args)))
+                if ready:
+                    stack.pop()
+                    _set_hash(node, hash((node.head, node.args)))
+            h = self._hash
+        return h
+
+
+_set_head = App.head.__set__
+_set_args = App.args.__set__
+_set_hash = App._hash.__set__
+_set_depth = App._depth.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,13 +182,19 @@ def subterm(t: CtxTerm, p: Position) -> CtxTerm:
 
 def replace(t: CtxTerm, p: Position, new: CtxTerm) -> CtxTerm:
     """Copy of ``t`` with the subterm at ``p`` replaced by ``new``."""
-    if not p:
-        return new
-    if not isinstance(t, App) or not 1 <= p[0] <= len(t.args):
-        raise PositionError(f"no position {'.'.join(map(str, p))} in term")
-    i = p[0] - 1
-    args = t.args[:i] + (replace(t.args[i], p[1:], new),) + t.args[i + 1 :]
-    return App(t.head, args)
+    path: list[App] = []
+    for i in p:
+        if type(t) is not App or not 1 <= i <= len(t.args):
+            raise PositionError(f"no position {'.'.join(map(str, p[len(path):]))} in term")
+        path.append(t)
+        t = t.args[i - 1]
+    k = len(p)
+    while k:
+        k -= 1
+        node, i = path[k], p[k]
+        args = node.args
+        new = App(node.head, args[: i - 1] + (new,) + args[i:])
+    return new
 
 
 def depth(t: CtxTerm) -> int:
@@ -129,19 +203,33 @@ def depth(t: CtxTerm) -> int:
     Computed once per node and kept on it, since every fixed point asks for
     the depth of the subterm it starts on.
     """
-    if not isinstance(t, App):
+    if type(t) is not App:
         return 0
     d = t._depth
     if d is None:
-        d = 0
-        for c in t.args:
-            d = max(d, 1 + depth(c))
-        object.__setattr__(t, "_depth", d)
+        # children first, as in App.__hash__; constants are settled in place
+        stack = [t]
+        while stack:
+            node = stack[-1]
+            d, ready = 0, True
+            for c in node.args:
+                if type(c) is App:
+                    cd = c._depth
+                    if cd is None:
+                        if c.args:
+                            ready = False
+                            stack.append(c)
+                            continue
+                        cd = 0
+                    if cd >= d:
+                        d = cd + 1
+                elif d == 0:
+                    d = 1
+            if ready:
+                stack.pop()
+                _set_depth(node, d)
+        d = t._depth
     return d
-
-
-def arity_at_root(t: CtxTerm) -> int:
-    return len(t.args) if isinstance(t, App) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -152,25 +240,28 @@ def arity_at_root(t: CtxTerm) -> int:
 def match(pattern: Term, subject: Term) -> Optional[Substitution]:
     """Match ``subject`` against ``pattern``.
 
-    Repeated variables must bind equal subterms.
+    Repeated variables must bind equal subterms.  The binding lists the
+    variables in the order of their first occurrence, left to right.
 
     >>> match(App("g", (Var("x"), Var("x"))), App("g", (App("a"), App("b")))) is None
     True
     """
     binding: Substitution = {}
-
-    def walk(u: Term, t: Term) -> bool:
-        if isinstance(u, Var):
+    stack = [(pattern, subject)]
+    while stack:
+        u, t = stack.pop()
+        if type(u) is Var:
             seen = binding.get(u.name)
             if seen is None:
                 binding[u.name] = t
-                return True
-            return seen == t
-        if isinstance(t, App) and u.head == t.head and len(u.args) == len(t.args):
-            return all(walk(uc, tc) for uc, tc in zip(u.args, t.args))
-        return False
-
-    return binding if walk(pattern, subject) else None
+            elif seen != t:
+                return None
+        elif type(t) is App and u.head == t.head and len(u.args) == len(t.args):
+            # reversed, so the leftmost pair comes off the stack first
+            stack.extend(zip(reversed(u.args), reversed(t.args)))
+        else:
+            return None
+    return binding
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +271,20 @@ def match(pattern: Term, subject: Term) -> Optional[Substitution]:
 
 def _hole_positions(t: CtxTerm) -> list[Position]:
     """Positions of every hole in ``t``, in pre-order."""
-    if isinstance(t, Hole):
-        return [EPSILON]
     found: list[Position] = []
-    if isinstance(t, App) and t.args:
-        i = 0
-        for c in t.args:
-            i += 1
-            for p in _hole_positions(c):
-                found.append((i,) + p)
+    # each entry carries its path as a linked list (index, parent's path)
+    stack: list[tuple[CtxTerm, Optional[tuple]]] = [(t, None)]
+    while stack:
+        s, path = stack.pop()
+        if type(s) is Hole:
+            p: list[int] = []
+            while path is not None:
+                i, path = path
+                p.append(i)
+            found.append(tuple(reversed(p)))
+        elif type(s) is App:
+            for i in range(len(s.args), 0, -1):
+                stack.append((s.args[i - 1], (i, path)))
     return found
 
 

@@ -23,7 +23,7 @@ from ctxembed.strategy import (
     SVar,
     ValidationFailure,
 )
-from ctxembed.terms import App, Context, Position, Term, arity_at_root, depth, match, merge
+from ctxembed.terms import App, Context, Position, Term, depth, match, merge
 
 
 def psi(s: Strat, t: Term) -> PosCE:
@@ -48,17 +48,29 @@ def _psi(s: Strat, t: Term, env: Env, at: Position, out: dict[Position, Context]
     # Writes the image of s on the subterm t at position at into out and
     # reports success.  A call that fails writes nothing: insertions always
     # succeed, and every other case fails before writing or after sub-calls
-    # that each wrote nothing.  Tail positions loop instead of recursing, and
-    # a map runs its entries below in this same frame, as in the evaluator.
+    # that each wrote nothing.  As in the evaluator, tail positions loop
+    # instead of recursing, maps and Most run their entries in this same
+    # frame, and the tests go on the exact type.
     while True:
-        if isinstance(s, Conj):
-            entries = s.entries
-            break
-        if isinstance(s, Choice):
+        cls = type(s)
+        if cls is Choice:
             if _psi(s.left, t, env, at, out):
                 return True
             s = s.right
-        elif isinstance(s, SVar):
+        elif cls is Conj:
+            hit = False
+            for i, body in s.entries:
+                if i is None:
+                    hit = _psi(body, t, env, at, out) or hit
+                elif type(t) is App and 1 <= i <= len(t.args):
+                    hit = _psi(body, t.args[i - 1], env, at + (i,), out) or hit
+            return hit
+        elif cls is Ins:
+            # an insertion applied later wraps an earlier one at the same spot
+            old = out.get(at)
+            out[at] = s.ctx if old is None else merge(s.ctx, old)
+            return True
+        elif cls is SVar:
             name = s.name
             if name not in env:
                 raise ValidationFailure(f"cannot translate open strategy (free {name})")
@@ -66,36 +78,28 @@ def _psi(s: Strat, t: Term, env: Env, at: Position, out: dict[Position, Context]
             if left == 0:
                 return False
             env = {**defined, name: (s, defined, left - 1)}
-        elif isinstance(s, Ins):
-            # an insertion applied later wraps an earlier one at the same spot
-            old = out.get(at)
-            out[at] = s.ctx if old is None else merge(s.ctx, old)
-            return True
-        elif isinstance(s, Guard):
+        elif cls is Guard:
             if match(s.pattern, t) is None:
                 return False
             s = s.body
-        elif isinstance(s, Mu):
+        elif cls is Mu:
             n = depth(t)
             if n == 0:
                 return False
             env = {**env, s.var: (s.body, env, n - 1)}
             s = s.body
-        elif isinstance(s, Most):
-            entries = tuple((i, s.body) for i in range(1, arity_at_root(t) + 1))
-            break
-        elif isinstance(s, IfThen):
+        elif cls is Most:
+            hit = False
+            if type(t) is App:
+                body = s.body
+                for i, c in enumerate(t.args, 1):
+                    hit = _psi(body, c, env, at + (i,), out) or hit
+            return hit
+        elif cls is IfThen:
             if not _psi(s.cond, t, env, at, {}):
                 return False
             s = s.body
-        elif isinstance(s, SFail):
+        elif cls is SFail:
             return False
         else:
             raise TypeError(f"not a strategy: {s!r}")
-    hit = False
-    for i, body in entries:
-        if i is None:
-            hit = _psi(body, t, env, at, out) or hit
-        elif isinstance(t, App) and 1 <= i <= len(t.args):
-            hit = _psi(body, t.args[i - 1], env, at + (i,), out) or hit
-    return hit

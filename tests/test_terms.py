@@ -1,5 +1,8 @@
 """Term, position, and context operations against hand-computed values."""
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -122,6 +125,37 @@ def test_depth_is_kept_per_node_and_right_on_shared_and_fresh_subterms():
     assert depth(t) == 5
 
 
+def test_app_by_position_and_by_keyword_behaves_like_the_dataclass():
+    by_position = App("g", (f(a()), b()))
+    by_keyword = App(head="g", args=(App(head="f", args=(App(head="a"),)), App("b")))
+    assert by_position == by_keyword and not by_position != by_keyword
+    # the hash a frozen dataclass generates from the compared fields
+    assert hash(by_position) == hash(by_keyword) == hash(("g", (f(a()), b())))
+    assert repr(by_keyword) == (
+        "App(head='g', args=(App(head='f', args=(App(head='a', args=()),)), "
+        "App(head='b', args=())))"
+    )
+    assert App("a") == App(head="a", args=()) and App("a") != App("b")
+    assert App("a") != Var("a") and Var("a") != App("a") and App("a") != "a"
+    assert App.__match_args__ == ("head", "args")
+    match_args_bind = False
+    match by_keyword:
+        case App(head, (App("f"), second)):
+            match_args_bind = head == "g" and second == b()
+    assert match_args_bind
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        by_position.head = "f"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del by_position.args
+
+
+def test_unequal_terms_with_known_hashes_differ():
+    s, t = g(a(), b()), g(a(), a())
+    hash(s), hash(t)  # with both hashes stored, a difference settles inequality
+    assert s != t and g(f(s), a()) != g(f(t), a())
+    assert s == g(a(), b()) and hash(s) == hash(g(a(), b()))
+
+
 def test_cached_fields_take_no_part_in_equality_hash_or_repr():
     seen, fresh = g(f(a()), b()), g(f(a()), b())
     depth(seen)
@@ -177,6 +211,66 @@ def test_match_nonlinear_mismatch():
 def test_match_symbol_clash():
     assert match(f(Var("x")), g(a(), b())) is None
     assert match(a(), b()) is None
+
+
+def _match_reference(pattern, subject):
+    """The recursive definition of matching, with its left-to-right binding order."""
+    binding = {}
+
+    def walk(u, t):
+        if isinstance(u, Var):
+            if u.name not in binding:
+                binding[u.name] = t
+                return True
+            return binding[u.name] == t
+        if isinstance(t, App) and u.head == t.head and len(u.args) == len(t.args):
+            return all(walk(uc, tc) for uc, tc in zip(u.args, t.args))
+        return False
+
+    return binding if walk(pattern, subject) else None
+
+
+def _random_term(rng, depth, variables):
+    # "g" also occurs with one argument, so heads agree while arities clash
+    if depth == 0 or rng.random() < 0.3:
+        pool = ["a", "b"] + (["?"] * 2 if variables else [])
+        pick = rng.choice(pool)
+        return Var(rng.choice("xyz")) if pick == "?" else App(pick)
+    head, arity = rng.choice([("f", 1), ("g", 2), ("g", 1)])
+    return App(head, tuple(_random_term(rng, depth - 1, variables) for _ in range(arity)))
+
+
+def _instantiate_each(u, rng, pool):
+    """``u`` with each occurrence of a variable replaced independently."""
+    if isinstance(u, Var):
+        return rng.choice(pool)
+    return App(u.head, tuple(_instantiate_each(c, rng, pool) for c in u.args))
+
+
+def test_match_agrees_with_the_recursive_definition_on_generated_pairs():
+    rng = random.Random(4)
+    outcomes = {"matched": 0, "failed": 0}
+    for _ in range(3_000):
+        pattern = _random_term(rng, rng.randint(0, 4), variables=True)
+        roll = rng.random()
+        if roll < 0.4:
+            # repeated variables get independent, sometimes equal, values
+            pool = [a(), b(), f(a()), Var("x")]
+            subject = _instantiate_each(pattern, rng, pool)
+        elif roll < 0.6:
+            sigma = {name: _random_term(rng, 2, variables=True) for name in "xyz"}
+            subject = _instantiate(pattern, sigma)
+        else:
+            # subjects may hold variables too; a variable subject matches
+            # only a variable pattern
+            subject = _random_term(rng, rng.randint(0, 4), variables=rng.random() < 0.5)
+        want = _match_reference(pattern, subject)
+        got = match(pattern, subject)
+        assert got == want
+        if want is not None:
+            assert list(got) == list(want)
+        outcomes["failed" if want is None else "matched"] += 1
+    assert min(outcomes.values()) >= 500, outcomes
 
 
 def _instantiate(u, sigma):
@@ -290,6 +384,55 @@ def test_merge_nest_neutral_hole(c):
 @given(contexts_st, ground_terms)
 def test_fill_at_hole_position(c, t):
     assert subterm(c.fill(t), c.hole_position) == t
+
+
+# ---------------------------------------------------------------------------
+# depth 10^4 without recursion
+# ---------------------------------------------------------------------------
+
+
+def spine(n, leaf):
+    """``f(...f(leaf)...)`` with ``n`` applications of ``f``."""
+    t = leaf
+    for _ in range(n):
+        t = f(t)
+    return t
+
+
+DEEP = 10_000
+
+
+def test_deep_terms_compare_and_hash():
+    left, right = spine(DEEP, a()), spine(DEEP, a())
+    assert left == right and not left != right
+    assert hash(left) == hash(right)
+    assert left in {right}
+    other = spine(DEEP, b())
+    assert left != other  # told apart at the leaves, 10⁴ levels down
+    assert hash(other) != hash(left)
+    assert other != right and not other == right  # both hashes known
+    assert f(left) != other
+    assert g(left, other) != g(left, right) and g(left, right) == g(right, left)
+
+
+def test_depth_replace_fill_merge_and_match_reach_10000_levels():
+    deep = spine(DEEP, a())
+    assert depth(deep) == DEEP and depth(f(deep)) == DEEP + 1
+    bottom = (1,) * DEEP
+    assert replace(deep, bottom, b()) == spine(DEEP, b())
+    assert subterm(replace(deep, bottom[:-1], g(a(), b())), bottom) == a()
+    with pytest.raises(PositionError, match=r"^no position 2\.1 in term$"):
+        replace(deep, bottom[:-1] + (2, 1), b())
+    c = Context(spine(DEEP, HOLE))
+    assert c.hole_position == bottom
+    assert c.fill(a()) == deep
+    merged = merge(c, c)
+    assert merged.hole_position == bottom + bottom
+    assert merged.fill(a()) == spine(2 * DEEP, a())
+    assert merge(c, c, MergePolicy.LEFT_PROJECT) is c
+    assert match(spine(DEEP, Var("x")), deep) == {"x": a()}
+    assert match(g(Var("x"), Var("x")), g(deep, spine(DEEP, a()))) == {"x": deep}
+    assert match(g(Var("x"), Var("x")), g(deep, spine(DEEP, b()))) is None
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,32 @@ def test_most_expands_over_the_actual_arity():
     assert psi(s, a()) == FAIL_PCE
 
 
+TD_F = Mu("X", Choice(Guard(f(Var("x")), Ins(SIGMA)), Most(SVar("X"))))
+
+# (strategy, term, evaluation result, image), worked out by hand: Most visits
+# every child, also the ones after a child that fails
+MOST_CASES = [
+    (Most(Ins(SIGMA)), a(), None, FAIL_PCE),
+    (Most(Guard(a(), Ins(SIGMA))), b(), None, FAIL_PCE),
+    (Most(Guard(a(), Ins(SIGMA))), g(a(), b()), g(f(a()), b()), PosCE((((1,), SIGMA),))),
+    (Most(Guard(a(), Ins(SIGMA))), g(b(), a()), g(b(), f(a())), PosCE((((2,), SIGMA),))),
+    (Most(Guard(a(), Ins(SIGMA))), g(b(), b()), None, FAIL_PCE),
+    # the top-down driver: failing first children do not stop the descent
+    (TD_F, g(b(), g(f(a()), b())), g(b(), g(f(f(a())), b())), PosCE((((2, 1), SIGMA),))),
+    (TD_F, b(), None, FAIL_PCE),
+]
+
+
+@pytest.mark.parametrize("s, t, result, image", MOST_CASES)
+def test_most_in_evaluation_and_translation(s, t, result, image):
+    assert eval_strategy(s, t) == result
+    assert psi(s, t) == image
+    if isinstance(s, Mu):
+        iterate = mu_iterate(s.var, s.body, depth(t))
+        assert eval_strategy(iterate, t) == result
+        assert psi(iterate, t) == image
+
+
 def test_condition_gates_the_translation():
     s = IfThen(jump((1,), Ins(TAU)), Ins(TAU_P))
     assert psi(s, f(a())) == PosCE((((), TAU_P),))
