@@ -324,8 +324,8 @@ def _check_distribution(
         ps, pr = psi(s, t), psi(r, t)
         lhs = psi(joint, t)
         rhs = op_pos(ps, pr, policy=cfg.merge_mode)
-        inputs = {"left": print_strategy(s), "right": print_strategy(r), "term": print_term(t)}
         if not eq_pos(lhs, rhs):
+            inputs = {"left": print_strategy(s), "right": print_strategy(r), "term": print_term(t)}
             failures.append(_failure(i, law, inputs, print_posce(rhs), print_posce(lhs)))
         _hom(s, t, ps, i, failures, "left")
         _hom(r, t, pr, i, failures, "right")
@@ -357,14 +357,12 @@ def check_unfold_oracle(
     joint = unify(s, r, policy=policy, signature=sig)
     unrolled = unify(su, ru, policy=policy, signature=sig)
     failures: list[dict] = []
-    inputs = {"left": print_strategy(s), "right": print_strategy(r), "n": n}
     for j, t in enumerate(terms_up_to_depth(sig, n)):
         a = psi(joint, t)
         b = psi(unrolled, t)
         if not eq_pos(a, b):
-            failures.append(
-                _failure(j, "unfold", dict(inputs, term=print_term(t)), print_posce(b), print_posce(a))
-            )
+            inputs = {"left": print_strategy(s), "right": print_strategy(r), "n": n, "term": print_term(t)}
+            failures.append(_failure(j, "unfold", inputs, print_posce(b), print_posce(a)))
         _hom(joint, t, a, j, failures, "joint")
         _hom(unrolled, t, b, j, failures, "unrolled")
     return failures
@@ -445,35 +443,36 @@ def check_algebra(cfg: GenConfig) -> dict:
     def first_diff(va, vb):
         return next((k for k in range(len(suite)) if va[k] != vb[k]), None)
 
-    def law(index, name, inputs, va, vb):
+    def names(trio):
+        # failure-record inputs, printed only when a law fails
+        return {f"s{k}": print_strategy(s) for k, s in enumerate(trio, start=1)}
+
+    def law(index, name, trio, va, vb):
         k = first_diff(va, vb)
         if k is not None:
             failures.append(
-                _failure(index, name, dict(inputs, term=print_term(suite[k])), _show(vb[k]), _show(va[k]))
+                _failure(index, name, dict(names(trio), term=print_term(suite[k])), _show(vb[k]), _show(va[k]))
             )
 
     stream = _progressing_stream(cfg, 3 * cfg.cases)
     for i in range(cfg.cases):
-        s1 = stream[3 * i]
-        s2 = stream[3 * i + 1]
-        s3 = stream[3 * i + 2]
-        names = {"s1": print_strategy(s1), "s2": print_strategy(s2), "s3": print_strategy(s3)}
+        trio = s1, s2, s3 = stream[3 * i : 3 * i + 3]
         u12 = uni(s1, s2)
         c12 = comb(s1, s2)
 
         # associativity; a rare non-linear normal form exits the law's domain
         try:
-            law(i, "unify-associative", names, vec(uni(u12, s3)), vec(uni(s1, uni(s2, s3))))
+            law(i, "unify-associative", trio, vec(uni(u12, s3)), vec(uni(s1, uni(s2, s3))))
         except ValidationFailure:
             pass
         try:
-            law(i, "combine-associative", names, vec(comb(c12, s3)), vec(comb(s1, comb(s2, s3))))
+            law(i, "combine-associative", trio, vec(comb(c12, s3)), vec(comb(s1, comb(s2, s3))))
         except ValidationFailure:
             pass
 
         if policy is MergePolicy.LEFT_PROJECT:
             v1 = vec(s1)
-            law(i, "unify-idempotent", names, vec(uni(s1, s1)), v1)
+            law(i, "unify-idempotent", trio, vec(uni(s1, s1)), v1)
         if i >= secondary:
             continue
 
@@ -485,7 +484,7 @@ def check_algebra(cfg: GenConfig) -> dict:
                     _failure(
                         i,
                         "unify-pointwise-failure",
-                        dict(names, term=print_term(suite[k])),
+                        dict(names(trio), term=print_term(suite[k])),
                         "FAIL" if v1[k] is None or v2[k] is None else "non-FAIL",
                         _show(vu12[k]),
                     )
@@ -497,24 +496,24 @@ def check_algebra(cfg: GenConfig) -> dict:
                     _failure(
                         i,
                         "combine-pointwise-failure",
-                        dict(names, term=print_term(suite[k])),
+                        dict(names(trio), term=print_term(suite[k])),
                         "FAIL" if v1[k] is None and v2[k] is None else "non-FAIL",
                         _show(vc12[k]),
                     )
                 )
                 break
 
-        law(i, "unify-neutral-right", names, vec(uni(s1, neutral)), v1)
+        law(i, "unify-neutral-right", trio, vec(uni(s1, neutral)), v1)
         if policy is MergePolicy.NEST:
-            law(i, "unify-neutral-left", names, vec(uni(neutral, s1)), v1)
+            law(i, "unify-neutral-left", trio, vec(uni(neutral, s1)), v1)
         if uni(FAIL_S, s1) != FAIL_S or uni(s1, FAIL_S) != FAIL_S:
-            failures.append(_failure(i, "unify-absorbing", names, "fail", "a non-fail strategy"))
-        law(i, "combine-neutral-left", names, vec(comb(FAIL_S, s1)), v1)
-        law(i, "combine-neutral-right", names, vec(comb(s1, FAIL_S)), v1)
+            failures.append(_failure(i, "unify-absorbing", names(trio), "fail", "a non-fail strategy"))
+        law(i, "combine-neutral-left", trio, vec(comb(FAIL_S, s1)), v1)
+        law(i, "combine-neutral-right", trio, vec(comb(s1, FAIL_S)), v1)
 
         variant = alpha_rename(s1, bound_vars(s1))
-        law(i, "unify-congruence", names, vec(uni(variant, s2)), vu12)
-        law(i, "combine-congruence", names, vec(comb(variant, s2)), vc12)
+        law(i, "unify-congruence", trio, vec(uni(variant, s2)), vu12)
+        law(i, "combine-congruence", trio, vec(comb(variant, s2)), vc12)
 
         if i >= hom_slice:
             continue

@@ -228,10 +228,16 @@ def rebuild(s: Strat, kids: tuple[Strat, ...]) -> Strat:
 
 
 def nodes(s: Strat) -> Iterator[Strat]:
-    """Every node of ``s``, ``s`` first; siblings come out right to left."""
+    """Every distinct node of ``s`` once, ``s`` first; siblings come out right
+    to left.  A shared node comes out where the walk first meets it, so the
+    order is that of the whole tree with repeated nodes left out."""
+    seen: set[Strat] = set()
     stack = [s]
     while stack:
         node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
         yield node
         stack.extend(children(node))
 
@@ -568,9 +574,15 @@ def simplify(s: Strat) -> Strat:
 
 
 def _rename_binders(s: Strat, pick: Callable[[str], str]) -> Strat:
-    """Rename every binder to ``pick(old name)``, in pre-order."""
+    """Rename every binder to ``pick(old name)``, in pre-order.
+
+    A subtree with no binder and no free variable being renamed comes back
+    as it is.
+    """
 
     def walk(node: Strat, env: dict[str, str]) -> Strat:
+        if not node.star_height and node.free.isdisjoint(env):
+            return node
         if isinstance(node, SVar):
             return SVar(env[node.name]) if node.name in env else node
         if isinstance(node, Mu):

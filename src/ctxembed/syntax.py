@@ -18,11 +18,20 @@ Grammar sketch::
 ``mu`` and ``if`` bodies extend as far right as possible; the printer inserts
 parentheses whenever an open-ended form would otherwise swallow a following
 operand, and parenthesizes right-nested choices.
+
+Neither reading nor printing recurses per level of nesting.  The text is
+split into tokens by one regular-expression scan, and the parser runs on
+explicit stacks over the token list; character offsets are worked out only
+for a ParseError.  The printer runs on an explicit stack as well: a strategy
+shared within the printed one is worked out once per setting (see
+``print_strategy``) and its text copied wherever it occurs again.
 """
 
 from __future__ import annotations
 
 import re
+from functools import partial
+from operator import itemgetter
 from typing import NoReturn, Optional, Union
 
 from ctxembed.posce import FAIL_PCE, PosCE
@@ -53,262 +62,285 @@ class ParseError(ValueError):
 
 _KEYWORDS = frozenset({"fail", "ins", "mu", "most", "if", "then", "eps"})
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<int>\d+)"
-    r"|(?P<uident>[A-Z][A-Za-z0-9_]*)"
-    r"|(?P<ident>[a-z][A-Za-z0-9_]*)"
-    r"|(?P<sym>[<>()\[\],;+@.?])"
-)
+# One scan finds every token: a number, a name, or any other single
+# character that is not whitespace.  A token's kind is that of its first
+# character; a character of no kind is an error.
+_TOKEN_RE = re.compile(r"[<>()\[\],;+@.?]|[A-Za-z][A-Za-z0-9_]*|\d+|\S")
+_KIND = {
+    **dict.fromkeys("0123456789", "int"),
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "uident"),
+    **dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "ident"),
+    **dict.fromkeys("<>()[],;+@.?", "sym"),
+}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    toks = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", offset=i)
-        i = m.end()
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        toks.append((kind, m.group(), m.start()))
-    return toks
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The tokens of ``text`` and their kinds; both lists end with the end of
+    input, the token ``""`` of kind ``"eof"``."""
+    toks = _TOKEN_RE.findall(text)
+    kinds = list(map(_KIND.get, map(itemgetter(0), toks)))
+    if None in kinds:
+        for k, tok in enumerate(toks):
+            if kinds[k] is None:
+                # \d also matches the decimal digits of other scripts
+                if not tok.isdecimal():
+                    raise ParseError(f"unexpected character {tok!r}", offset=_offset(text, k))
+                kinds[k] = "int"
+    toks.append("")
+    kinds.append("eof")
+    return toks, kinds
+
+
+def _offset(text: str, k: int) -> int:
+    """Where token ``k`` of ``text`` starts; past the last token, where that
+    token ends.  Only error reports need it, so it scans again."""
+    end = 0
+    for j, m in enumerate(_TOKEN_RE.finditer(text)):
+        if j == k:
+            return m.start()
+        end = m.end()
+    return end
+
+
+# What an open strategy becomes once it ends (see _Parser.strat)
+_TOP, _MU, _COND, _THEN, _MOST, _PAREN, _ENTRY = range(7)
 
 
 class _Parser:
+    """A reader of the token lists, on explicit stacks.  Each method takes
+    the index of its first token and returns what it read with the index of
+    the token after it."""
+
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.pos = 0
+        self.text = text
+        self.toks, self.kinds = _tokenize(text)
 
-    def peek(self, ahead: int = 0) -> tuple[str, str]:
-        j = self.pos + ahead
-        if j >= len(self.toks):
-            return ("eof", "")
-        kind, value, _ = self.toks[j]
-        return (kind, value)
+    def fail(self, i: int, message: str) -> NoReturn:
+        raise ParseError(message, offset=_offset(self.text, i))
 
-    def next(self) -> tuple[str, str]:
-        tok = self.peek()
-        self.pos += 1
-        return tok
+    def expect(self, i: int, value: str) -> int:
+        got = self.toks[i]
+        if got != value:
+            self.fail(i, f"expected {value!r}, got {got or 'end of input'!r}")
+        return i + 1
 
-    def offset(self) -> int:
-        if self.pos < len(self.toks):
-            return self.toks[self.pos][2]
-        if self.toks:
-            _, value, start = self.toks[-1]
-            return start + len(value)
-        return 0
-
-    def fail(self, message: str) -> NoReturn:
-        raise ParseError(message, offset=self.offset())
-
-    def expect(self, value: str) -> None:
-        kind, got = self.peek()
-        if got != value or kind == "eof":
-            self.fail(f"expected {value!r}, got {got or 'end of input'!r}")
-        self.pos += 1
-
-    def done(self) -> None:
-        kind, got = self.peek()
-        if kind != "eof":
-            self.fail(f"trailing input at {got!r}")
+    def done(self, i: int) -> None:
+        if self.kinds[i] != "eof":
+            self.fail(i, f"trailing input at {self.toks[i]!r}")
 
     # -- terms and contexts -------------------------------------------------
 
-    def term(self, allow_hole: bool = False) -> Union[Term, Hole]:
-        kind, value = self.peek()
-        if value == "?":
-            self.next()
-            kind, name = self.peek()
-            if kind != "ident":
-                self.fail(f"expected variable name after '?', got {name!r}")
-            self.next()
-            return Var(name)
-        if allow_hole and value == "[":
-            self.next()
-            self.expect("]")
-            return HOLE
-        if kind != "ident" or value in _KEYWORDS:
-            self.fail(f"expected a term, got {value or 'end of input'!r}")
-        self.next()
-        if self.peek()[1] != "(":
-            return App(value)
-        self.next()
-        args = [self.term(allow_hole)]
-        while self.peek()[1] == ",":
-            self.next()
-            args.append(self.term(allow_hole))
-        self.expect(")")
-        return App(value, tuple(args))
+    def term(self, i: int, allow_hole: bool = False) -> tuple[Union[Term, Hole], int]:
+        # ``open_`` holds the applications whose arguments are still coming
+        toks, kinds = self.toks, self.kinds
+        open_: list[tuple[str, list]] = []
+        while True:
+            value = toks[i]
+            if value == "?":
+                if kinds[i + 1] != "ident":
+                    self.fail(i + 1, f"expected variable name after '?', got {toks[i + 1]!r}")
+                node, i = Var(toks[i + 1]), i + 2
+            elif allow_hole and value == "[":
+                node, i = HOLE, self.expect(i + 1, "]")
+            elif kinds[i] != "ident" or value in _KEYWORDS:
+                self.fail(i, f"expected a term, got {value or 'end of input'!r}")
+            elif toks[i + 1] == "(":
+                open_.append((value, []))
+                i += 2
+                continue
+            else:
+                node, i = App(value), i + 1
+            # the finished subterm is an argument: a comma asks for the next
+            # one, a closing parenthesis finishes the application
+            while open_:
+                head, args = open_[-1]
+                args.append(node)
+                if toks[i] == ",":
+                    i += 1
+                    break
+                i = self.expect(i, ")")
+                open_.pop()
+                node = App(head, tuple(args))
+            else:
+                return node, i
 
-    def context(self) -> Context:
-        body = self.term(allow_hole=True)
+    def context(self, i: int) -> tuple[Context, int]:
+        body, i = self.term(i, allow_hole=True)
         try:
-            return Context(body)
+            return Context(body), i
         except ValueError as exc:
-            self.fail(str(exc))
+            self.fail(i, str(exc))
 
-    def position(self) -> Position:
-        kind, value = self.peek()
+    def position(self, i: int) -> tuple[Position, int]:
+        toks, kinds = self.toks, self.kinds
+        value = toks[i]
         if value == "eps":
-            self.next()
-            return ()
-        if kind != "int":
-            self.fail(f"expected a position, got {value or 'end of input'!r}")
-        out = [self._index()]
-        while self.peek()[1] == "." and self.peek(1)[0] == "int":
-            self.next()
-            out.append(self._index())
-        return tuple(out)
-
-    def _index(self) -> int:
-        kind, value = self.peek()
-        if kind != "int" or int(value) < 1:
-            self.fail(f"child indices start at 1, got {value!r}")
-        self.next()
-        return int(value)
+            return (), i + 1
+        if kinds[i] != "int":
+            self.fail(i, f"expected a position, got {value or 'end of input'!r}")
+        out = []
+        while True:
+            index = int(toks[i])
+            if index < 1:
+                self.fail(i, f"child indices start at 1, got {toks[i]!r}")
+            out.append(index)
+            if toks[i + 1] != "." or kinds[i + 2] != "int":
+                return tuple(out), i + 1
+            i += 2
 
     # -- strategies ----------------------------------------------------------
 
-    def strat(self) -> Strat:
-        node = self.seq()
-        while self.peek()[1] == "+":
-            self.next()
-            node = Choice(node, self.seq())
-        return node
+    def strat(self, i: int) -> tuple[Strat, int]:
+        """A strategy, on one loop and two stacks.
 
-    def seq(self) -> Strat:
-        kind, value = self.peek()
-        if value == "?" or (kind == "ident" and value not in _KEYWORDS):
-            pattern = self.term()
-            self.expect(";")
-            return Guard(pattern, self.seq())
-        return self.prefix()
-
-    def prefix(self) -> Strat:
-        kind, value = self.peek()
-        if value == "mu":
-            self.next()
-            kind, name = self.peek()
-            if kind != "uident":
-                self.fail(f"expected a binder name, got {name!r}")
-            self.next()
-            self.expect(".")
-            return Mu(name, self.strat())
-        if value == "if":
-            self.next()
-            cond = self.strat()
-            self.expect("then")
-            return IfThen(cond, self.strat())
-        if value == "@":
-            self.next()
-            p = self.position()
-            self.expect(".")
-            return jump(p, self.seq())
-        return self.atom()
-
-    def atom(self) -> Strat:
-        kind, value = self.peek()
-        if value == "fail":
-            self.next()
-            return FAIL_S
-        if kind == "uident":
-            self.next()
-            return SVar(value)
-        if value == "ins":
-            self.next()
-            self.expect("<")
-            ctx = self.context()
-            self.expect(">")
-            return Ins(ctx)
-        if value == "most":
-            self.next()
-            self.expect("(")
-            body = self.strat()
-            self.expect(")")
-            return Most(body)
-        if value == "[":
-            self.next()
-            entries = [self._entry()]
-            while self.peek()[1] == ",":
-                self.next()
-                entries.append(self._entry())
-            self.expect("]")
-            return Conj(tuple(entries))
-        if value == "(":
-            self.next()
-            node = self.strat()
-            self.expect(")")
-            return node
-        self.fail(f"expected a strategy, got {value or 'end of input'!r}")
-
-    def _entry(self) -> tuple[Optional[int], Strat]:
-        self.expect("@")
-        p = self.position()
-        self.expect(".")
-        body = self.strat()
-        if not p:
-            return (None, body)
-        return (p[0], jump(p[1:], body) if len(p) > 1 else body)
+        ``opened`` holds the strategies still open, innermost last, each as
+        [what it becomes, its data, the choice read so far]: the whole input,
+        a binder's or an if's body, an if's condition, the inside of most(…),
+        of parentheses or of a map entry.  ``prefixes`` holds the guards and
+        jumps met at the start of a sequence, as the function that wraps a
+        body and the number of open strategies below them: each wraps the
+        next sequence that ends there.
+        """
+        toks, kinds, expect = self.toks, self.kinds, self.expect
+        opened: list[list] = [[_TOP, None, None]]
+        prefixes: list[tuple] = []
+        while True:
+            # read prefixes until a sequence is complete or a strategy opens
+            value = toks[i]
+            if value == "?" or (kinds[i] == "ident" and value not in _KEYWORDS):
+                pattern, i = self.term(i)
+                i = expect(i, ";")
+                prefixes.append((partial(Guard, pattern), len(opened)))
+                continue
+            if value == "@":
+                p, i = self.position(i + 1)
+                i = expect(i, ".")
+                prefixes.append((partial(jump, p), len(opened)))
+                continue
+            if value == "mu":
+                if kinds[i + 1] != "uident":
+                    self.fail(i + 1, f"expected a binder name, got {toks[i + 1]!r}")
+                opened.append([_MU, toks[i + 1], None])
+                i = expect(i + 2, ".")
+                continue
+            if value == "if":
+                opened.append([_COND, None, None])
+                i += 1
+                continue
+            if value == "most":
+                opened.append([_MOST, None, None])
+                i = expect(i + 1, "(")
+                continue
+            if value == "(":
+                opened.append([_PAREN, None, None])
+                i += 1
+                continue
+            if value == "[":
+                p, i = self.position(expect(i + 1, "@"))
+                opened.append([_ENTRY, ([], p), None])
+                i = expect(i, ".")
+                continue
+            if value == "fail":
+                node, i = FAIL_S, i + 1
+            elif kinds[i] == "uident":
+                node, i = SVar(value), i + 1
+            elif value == "ins":
+                ctx, i = self.context(expect(i + 1, "<"))
+                node, i = Ins(ctx), expect(i, ">")
+            else:
+                self.fail(i, f"expected a strategy, got {value or 'end of input'!r}")
+            # ``node`` is a complete sequence: wrap it in its prefixes, add
+            # it to the innermost open choice, and close what ends here
+            while True:
+                depth = len(opened)
+                while prefixes and prefixes[-1][1] == depth:
+                    node = prefixes.pop()[0](node)
+                top = opened[-1]
+                if top[2] is not None:
+                    node = Choice(top[2], node)
+                if toks[i] == "+":
+                    top[2] = node
+                    i += 1
+                    break
+                opened.pop()
+                what, data = top[0], top[1]
+                if what == _TOP:
+                    return node, i
+                if what == _MU:
+                    node = Mu(data, node)
+                elif what == _COND:
+                    opened.append([_THEN, node, None])
+                    i = expect(i, "then")
+                    break
+                elif what == _THEN:
+                    node = IfThen(data, node)
+                elif what == _MOST:
+                    node, i = Most(node), expect(i, ")")
+                elif what == _PAREN:
+                    i = expect(i, ")")
+                else:
+                    entries, p = data
+                    if not p:
+                        entries.append((None, node))
+                    else:
+                        entries.append((p[0], jump(p[1:], node) if len(p) > 1 else node))
+                    if toks[i] != ",":
+                        node, i = Conj(tuple(entries)), expect(i, "]")
+                        continue
+                    p, i = self.position(expect(i + 1, "@"))
+                    opened.append([_ENTRY, (entries, p), None])
+                    i = expect(i, ".")
+                    break
 
 
 def parse_term(text: str) -> Term:
     p = _Parser(text)
-    t = p.term()
-    p.done()
+    t, i = p.term(0)
+    p.done(i)
     return t
 
 
 def parse_context(text: str) -> Context:
     p = _Parser(text)
-    if p.peek()[1] == "<":
-        p.next()
-        ctx = p.context()
-        p.expect(">")
+    if p.toks[0] == "<":
+        ctx, i = p.context(1)
+        i = p.expect(i, ">")
     else:
-        ctx = p.context()
-    p.done()
+        ctx, i = p.context(0)
+    p.done(i)
     return ctx
 
 
 def parse_position(text: str) -> Position:
     p = _Parser(text)
-    out = p.position()
-    p.done()
+    out, i = p.position(0)
+    p.done(i)
     return out
 
 
 def parse_strategy(text: str) -> Strat:
     p = _Parser(text)
-    s = p.strat()
-    p.done()
+    s, i = p.strat(0)
+    p.done(i)
     return s
 
 
 def parse_posce(text: str) -> PosCE:
     p = _Parser(text)
-    if p.peek()[1] == "fail":
-        p.next()
-        p.done()
+    if p.toks[0] == "fail":
+        p.done(1)
         return FAIL_PCE
-    p.expect("[")
+    i = p.expect(0, "[")
     entries = []
     while True:
-        p.expect("@")
-        pos = p.position()
-        p.expect(".")
-        p.expect("<")
-        ctx = p.context()
-        p.expect(">")
+        pos, i = p.position(p.expect(i, "@"))
+        ctx, i = p.context(p.expect(p.expect(i, "."), "<"))
+        i = p.expect(i, ">")
         entries.append((pos, ctx))
-        if p.peek()[1] != ",":
+        if p.toks[i] != ",":
             break
-        p.next()
-    p.expect("]")
-    p.done()
+        i += 1
+    p.done(p.expect(i, "]"))
     return PosCE(tuple(entries))
 
 
@@ -351,64 +383,34 @@ def print_position(p: Position) -> str:
 _CHOICE, _SEQ = 0, 1
 
 
-def _prec(s: Strat) -> int:
-    if isinstance(s, Choice):
-        return _CHOICE
-    return _SEQ
+def _right_open(s: Strat, memo: dict[Strat, bool]) -> bool:
+    """Whether the printed form ends in a sub-strategy that extends right.
 
-
-def _right_open(s: Strat) -> bool:
-    """Whether the printed form ends in a sub-strategy that extends right."""
-    if isinstance(s, (Mu, IfThen)):
-        return True
-    if isinstance(s, Guard):
-        return _right_open(s.body)
-    if isinstance(s, Choice):
-        return _right_open(s.right)
-    if isinstance(s, Conj) and len(s.entries) == 1:
-        return _right_open(s.entries[0][1])
-    return False
-
-
-def print_strategy(s: Strat) -> str:
-    return _render(s, _CHOICE, False)
-
-
-def _render(s: Strat, min_prec: int, followed: bool) -> str:
-    if _prec(s) < min_prec or (followed and _right_open(s)):
-        return f"({_render(s, _CHOICE, False)})"
-    if isinstance(s, SFail):
-        return "fail"
-    if isinstance(s, SVar):
-        return s.name
-    if isinstance(s, Ins):
-        return f"ins <{print_context(s.ctx)}>"
-    if isinstance(s, Guard):
-        return f"{print_term(s.pattern)} ; {_render(s.body, _SEQ, followed)}"
-    if isinstance(s, Choice):
-        ops: list[Strat] = []
-        node: Strat = s
-        while isinstance(node, Choice):
-            ops.append(node.right)
-            node = node.left
-        ops.append(node)
-        ops.reverse()
-        last = len(ops) - 1
-        return " + ".join(
-            _render(op, _SEQ, followed if i == last else True) for i, op in enumerate(ops)
-        )
-    if isinstance(s, Mu):
-        return f"mu {s.var}. {_render(s.body, _CHOICE, False)}"
-    if isinstance(s, Most):
-        return f"most({_render(s.body, _CHOICE, False)})"
-    if isinstance(s, IfThen):
-        cond = _render(s.cond, _CHOICE, False)
-        return f"if {cond} then {_render(s.body, _CHOICE, False)}"
-    if isinstance(s, Conj):
-        if len(s.entries) == 1:
-            return _render_jump(s, followed)
-        return f"[{', '.join(_render_entry(i, b) for i, b in s.entries)}]"
-    raise TypeError(f"not a strategy: {s!r}")
+    Follows the rightmost sub-strategy down; every node passed is recorded
+    in ``memo``, so a chain is walked once per printing.
+    """
+    passed: list[Strat] = []
+    while True:
+        known = memo.get(s)
+        if known is not None:
+            break
+        cls = type(s)
+        if cls is Mu or cls is IfThen:
+            known = True
+            break
+        passed.append(s)
+        if cls is Guard:
+            s = s.body
+        elif cls is Choice:
+            s = s.right
+        elif cls is Conj and len(s.entries) == 1:
+            s = s.entries[0][1]
+        else:
+            known = False
+            break
+    for node in passed:
+        memo[node] = known
+    return known
 
 
 def _collapse(s: Strat) -> tuple[list[int], Strat]:
@@ -419,21 +421,108 @@ def _collapse(s: Strat) -> tuple[list[int], Strat]:
     return steps, s
 
 
-def _render_jump(s: Conj, followed: bool) -> str:
-    idx, body = s.entries[0]
-    if idx is None:
-        return f"@eps.{_render(body, _SEQ, followed)}"
-    steps, tail = _collapse(s)
-    pos = ".".join(str(i) for i in steps)
-    return f"@{pos}.{_render(tail, _SEQ, followed)}"
+def print_strategy(s: Strat) -> str:
+    """The concrete syntax of ``s``, which ``parse_strategy`` reads back.
 
-
-def _render_entry(idx: Optional[int], body: Strat) -> str:
-    if idx is None:
-        return f"@eps.{_render(body, _CHOICE, False)}"
-    steps, tail = _collapse(body)
-    pos = ".".join(str(i) for i in (idx, *steps))
-    return f"@{pos}.{_render(tail, _CHOICE, False)}"
+    A sub-strategy is printed in a setting: the loosest operator it may show
+    unparenthesized (``_CHOICE`` or ``_SEQ``), and whether more of a choice
+    follows it.  The printer runs on an explicit stack of pending text and
+    (node, setting) pairs, and keeps where each pair's text begins and ends.
+    A pair met again copies that stretch of text, so a shared sub-strategy
+    is worked out once per setting however often it is printed.
+    """
+    parts: list[str] = []
+    spans: dict[tuple, tuple[int, int]] = {}
+    leaves: dict[Strat, str] = {}
+    opens: dict[Strat, bool] = {}
+    stack: list = [(s, _CHOICE, False)]
+    push = stack.append
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        if len(item) == 2:
+            # (pair, start): the pair's text is complete
+            spans[item[0]] = (item[1], len(parts))
+            continue
+        node, min_prec, followed = item
+        cls = type(node)
+        # leaves never need parentheses
+        if cls is SVar:
+            parts.append(node.name)
+            continue
+        if cls is Ins:
+            text = leaves.get(node)
+            if text is None:
+                text = leaves[node] = f"ins <{print_context(node.ctx)}>"
+            parts.append(text)
+            continue
+        if cls is SFail:
+            parts.append("fail")
+            continue
+        span = spans.get(item)
+        if span is not None:
+            parts += parts[span[0] : span[1]]
+            continue
+        # pieces go on the stack last first
+        push((item, len(parts)))
+        if (cls is Choice and min_prec > _CHOICE) or (followed and _right_open(node, opens)):
+            push(")")
+            push((node, _CHOICE, False))
+            push("(")
+        elif cls is Guard:
+            push((node.body, _SEQ, followed))
+            push(f"{print_term(node.pattern)} ; ")
+        elif cls is Choice:
+            # a left-nested chain prints flat; every operand but the last is
+            # followed by the rest of the chain
+            push((node.right, _SEQ, followed))
+            node = node.left
+            while type(node) is Choice:
+                push(" + ")
+                push((node.right, _SEQ, True))
+                node = node.left
+            push(" + ")
+            push((node, _SEQ, True))
+        elif cls is Mu:
+            push((node.body, _CHOICE, False))
+            push(f"mu {node.var}. ")
+        elif cls is Most:
+            push(")")
+            push((node.body, _CHOICE, False))
+            push("most(")
+        elif cls is IfThen:
+            push((node.body, _CHOICE, False))
+            push(" then ")
+            push((node.cond, _CHOICE, False))
+            push("if ")
+        elif cls is Conj and len(node.entries) == 1:
+            idx, body = node.entries[0]
+            if idx is None:
+                push((body, _SEQ, followed))
+                push("@eps.")
+            else:
+                steps, tail = _collapse(node)
+                push((tail, _SEQ, followed))
+                push(f"@{'.'.join(map(str, steps))}.")
+        elif cls is Conj:
+            push("]")
+            for k in range(len(node.entries) - 1, -1, -1):
+                idx, body = node.entries[k]
+                if idx is None:
+                    push((body, _CHOICE, False))
+                    push("@eps.")
+                else:
+                    steps, tail = _collapse(body)
+                    push((tail, _CHOICE, False))
+                    push(f"@{'.'.join(map(str, (idx, *steps)))}.")
+                if k:
+                    push(", ")
+            push("[")
+        else:
+            raise TypeError(f"not a strategy: {node!r}")
+    return "".join(parts)
 
 
 def print_posce(e: PosCE) -> str:

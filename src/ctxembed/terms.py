@@ -54,7 +54,7 @@ class Var:
     _hash: Optional[int] = field(**_HASH_FIELD)
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class App:
     """Application of a symbol to child terms; constants have no children.
 
@@ -126,6 +126,26 @@ class App:
             h = self._hash
         return h
 
+    def __repr__(self) -> str:
+        # the dataclass's form, App(head=..., args=(...)), on an explicit stack
+        # of subterms and finished text
+        parts: list[str] = []
+        stack: list = [self]
+        while stack:
+            x = stack.pop()
+            if type(x) is str:
+                parts.append(x)
+                continue
+            args = x.args
+            parts.append(f"App(head={x.head!r}, args=(")
+            stack.append(",))" if len(args) == 1 else "))")
+            for k in range(len(args) - 1, -1, -1):
+                c = args[k]
+                stack.append(c if type(c) is App else repr(c))
+                if k:
+                    stack.append(", ")
+        return "".join(parts)
+
 
 _set_head = App.head.__set__
 _set_args = App.args.__set__
@@ -159,14 +179,14 @@ DEFAULT_SIGNATURE: Signature = {"a": 0, "b": 0, "f": 1, "g": 2}
 def positions(t: CtxTerm) -> list[Position]:
     """All positions of ``t`` in pre-order; the root comes first."""
     out: list[Position] = []
-
-    def walk(s: CtxTerm, here: Position) -> None:
+    stack: list[tuple[CtxTerm, Position]] = [(t, EPSILON)]
+    while stack:
+        s, here = stack.pop()
         out.append(here)
         if isinstance(s, App):
-            for i, child in enumerate(s.args, start=1):
-                walk(child, here + (i,))
-
-    walk(t, EPSILON)
+            # reversed, so the leftmost child comes off the stack first
+            for i in range(len(s.args), 0, -1):
+                stack.append((s.args[i - 1], here + (i,)))
     return out
 
 
@@ -345,21 +365,20 @@ def merge(left: Context, right: Context, policy: MergePolicy = MergePolicy.NEST)
 def infer_signature(terms: Iterable[CtxTerm], base: Optional[Signature] = None) -> Signature:
     """Collect symbol arities from ``terms``, rejecting inconsistent use."""
     sig: Signature = dict(base) if base else {}
-
-    def walk(t: CtxTerm) -> None:
-        if isinstance(t, App):
-            seen = sig.get(t.head)
-            if seen is None:
-                sig[t.head] = len(t.args)
-            elif seen != len(t.args):
-                raise SignatureError(
-                    f"symbol {t.head!r} used with arities {seen} and {len(t.args)}"
-                )
-            for c in t.args:
-                walk(c)
-
     for t in terms:
-        walk(t)
+        # pre-order, left to right: the first conflict met is the one reported
+        stack = [t]
+        while stack:
+            s = stack.pop()
+            if isinstance(s, App):
+                seen = sig.get(s.head)
+                if seen is None:
+                    sig[s.head] = len(s.args)
+                elif seen != len(s.args):
+                    raise SignatureError(
+                        f"symbol {s.head!r} used with arities {seen} and {len(s.args)}"
+                    )
+                stack.extend(reversed(s.args))
     return sig
 
 
@@ -368,14 +387,17 @@ def max_arity(sig: Signature) -> int:
 
 
 def check_signature(t: CtxTerm, sig: Signature) -> None:
-    """Raise SignatureError when ``t`` uses a symbol outside ``sig``."""
-    if isinstance(t, App):
-        if sig.get(t.head) != len(t.args):
-            raise SignatureError(
-                f"symbol {t.head!r}/{len(t.args)} is not in the signature"
-            )
-        for c in t.args:
-            check_signature(c, sig)
+    """Raise SignatureError when ``t`` uses a symbol outside ``sig``; the
+    first such symbol in pre-order, left to right, is the one reported."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, App):
+            if sig.get(s.head) != len(s.args):
+                raise SignatureError(
+                    f"symbol {s.head!r}/{len(s.args)} is not in the signature"
+                )
+            stack.extend(reversed(s.args))
 
 
 def terms_up_to_depth(sig: Signature, n: int) -> list[Term]:

@@ -66,6 +66,20 @@ def test_parse_error_in_file_names_the_file(tmp_path, capsys):
     assert err.startswith(f"{bad}:2:")
 
 
+def test_parse_error_in_a_multi_line_file_gives_line_and_column(tmp_path, capsys):
+    bad = tmp_path / "bad.ces"
+    for text, where in [
+        ("mu X.\n  @1.)", "2:6: expected a strategy, got ')'"),
+        ("mu X. a ; ins <[]>\n  + @1.X\n  + $", "3:5: unexpected character '$'"),
+        ("fail\n\n + é", "3:4: unexpected character 'é'"),
+    ]:
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "apply", "--term", "a", "--strategy", str(bad))
+        assert (code, out, err) == (2, "", f"{bad}:{where}\n")
+    code, out, err = run(capsys, "apply", "--term", "g(a,\n b", "--strategy", "fail")
+    assert (code, out, err) == (2, "", "<term>:2:3: expected ')', got 'end of input'\n")
+
+
 def test_inconsistent_arities_are_rejected(capsys):
     code, out, err = run(
         capsys, "apply", "--term", "g(a)", "--strategy", "g(?x, ?y) ; ins <[]>"

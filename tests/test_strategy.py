@@ -109,6 +109,20 @@ def test_nodes_lists_every_node_right_to_left():
     assert list(nodes(s)) == [s, s.right, SVar("X"), FAIL_S, Ins(TAU_I)]
 
 
+def test_nodes_gives_a_shared_node_once_where_first_met():
+    x = Choice(SVar("X"), FAIL_S)
+    assert list(nodes(Choice(x, x))) == [Choice(x, x), x, FAIL_S, SVar("X")]
+    s = Conj(((1, x), (2, Guard(a(), x)), (None, x)))
+    assert list(nodes(s)) == [s, x, FAIL_S, SVar("X"), Guard(a(), x)]
+    # a chain of n shared choices is a tree of 2^(n+1) - 1 nodes
+    deep = SVar("X")
+    for _ in range(60):
+        deep = Choice(deep, deep)
+    assert len(list(nodes(deep))) == 61
+    # walks over it return: each distinct node is visited once
+    assert bound_vars(Mu("Y", deep)) == {"Y"} and not validate(deep).closed
+
+
 def test_structural_passes_reach_150_levels():
     # every pass spends at least one Python frame per level; one that spends
     # needlessly many raises RecursionError well before this depth

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctxembed.checks import GenConfig, gen_strategy
+from ctxembed.engine import combine, unify
 from ctxembed.strategy import (
     FAIL_S,
     Choice,
@@ -13,7 +15,9 @@ from ctxembed.strategy import (
     Ins,
     Most,
     Mu,
+    SFail,
     SVar,
+    ValidationFailure,
     jump,
 )
 from ctxembed.syntax import (
@@ -31,7 +35,7 @@ from ctxembed.syntax import (
     to_json,
 )
 from ctxembed.posce import FAIL_PCE, PosCE
-from ctxembed.terms import HOLE, App, Context, Var
+from ctxembed.terms import HOLE, App, Context, MergePolicy, Var
 
 
 def a():
@@ -174,23 +178,72 @@ def test_parse_xi_example():
     assert got == want
 
 
+# (text, message, offset) for malformed strategy texts.  Unexpected
+# characters are reported before any grammar error, wherever they stand; at
+# the end of input the offset is the end of the last token.
+MALFORMED = [
+    ("", "expected a strategy, got 'end of input'", 0),
+    ("mu x. X", "expected a binder name, got 'x'", 3),
+    ("mu X X", "expected '.', got 'X'", 5),
+    ("ins list([],i)", "expected '<', got 'list'", 4),
+    ("if X", "expected 'then', got 'end of input'", 4),
+    ("[@0.X]", "child indices start at 1, got '0'", 2),
+    ("[]", "expected '@', got ']'", 1),
+    ("X +", "expected a strategy, got 'end of input'", 3),
+    ("a ; ", "expected a strategy, got 'end of input'", 3),
+    ("@.X", "expected a position, got '.'", 1),
+    ("most(X", "expected ')', got 'end of input'", 6),
+    ("then", "expected a strategy, got 'then'", 0),
+    # unexpected characters: at the start, in the middle, at the end, after
+    # trailing whitespace, a non-ASCII letter, and ahead of a grammar error
+    ("$X", "unexpected character '$'", 0),
+    ("X + $ Y", "unexpected character '$'", 4),
+    ("X + Y$", "unexpected character '$'", 5),
+    ("X + Y  $", "unexpected character '$'", 7),
+    ("X\t+\t%", "unexpected character '%'", 4),
+    ("ins <é>", "unexpected character 'é'", 5),
+    ("mu Xé. X", "unexpected character 'é'", 4),
+    ("mu x. &", "unexpected character '&'", 6),
+    # a number is its own token, so a letter after it starts the next one
+    ("1a", "expected a strategy, got '1'", 0),
+    ("@1a.X", "expected '.', got 'a'", 2),
+    ("@00.X", "child indices start at 1, got '00'", 1),
+    ("@1..X", "expected a strategy, got '.'", 3),
+    ("  ", "expected a strategy, got 'end of input'", 0),
+    ("@1.2.  ", "expected a strategy, got 'end of input'", 5),
+    ("mu X.", "expected a strategy, got 'end of input'", 5),
+    ("?", "expected variable name after '?', got ''", 1),
+    ("? X ; fail", "expected variable name after '?', got 'X'", 2),
+    ("ins <a>", "context must contain exactly one hole, found 0", 6),
+    ("ins <g([],[])>", "context must contain exactly one hole, found 2", 13),
+    ("[@1.X,]", "expected '@', got ']'", 6),
+    ("X)", "trailing input at ')'", 1),
+    ("most X", "expected '(', got 'X'", 5),
+    ("@eps", "expected '.', got 'end of input'", 4),
+    ("f(a,) ; X", "expected a term, got ')'", 4),
+]
+
+
 def test_parse_rejects_malformed():
-    for bad in [
-        "",
-        "mu x. X",
-        "mu X X",
-        "ins list([],i)",
-        "if X",
-        "[@0.X]",
-        "[]",
-        "X +",
-        "a ; ",
-        "@.X",
-        "most(X",
-        "then",
+    for text, message, offset in MALFORMED:
+        with pytest.raises(ParseError) as err:
+            parse_strategy(text)
+        assert (text, str(err.value), err.value.offset) == (text, message, offset)
+
+
+def test_parse_term_errors_keep_message_and_offset():
+    for text, message, offset in [
+        ("", "expected a term, got 'end of input'", 0),
+        ("g(a", "expected ')', got 'end of input'", 3),
+        ("1x", "expected a term, got '1'", 0),
+        ("a b", "trailing input at 'b'", 2),
+        ("g(a))", "trailing input at ')'", 4),
+        ("a é", "unexpected character 'é'", 2),
+        ("é", "unexpected character 'é'", 0),
     ]:
-        with pytest.raises(ParseError):
-            parse_strategy(bad)
+        with pytest.raises(ParseError) as err:
+            parse_term(text)
+        assert (text, str(err.value), err.value.offset) == (text, message, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +304,177 @@ def test_round_trip_frozen():
 
 
 # ---------------------------------------------------------------------------
+# strategies: the printer against a tree-recursive reference
+# ---------------------------------------------------------------------------
+
+# The printer as it was written first: one recursive call per node of the
+# tree, shared nodes printed again each time.  The printer under test must
+# give the same text.
+_R_CHOICE, _R_SEQ = 0, 1
+
+
+def _r_prec(s):
+    return _R_CHOICE if isinstance(s, Choice) else _R_SEQ
+
+
+def _r_right_open(s):
+    if isinstance(s, (Mu, IfThen)):
+        return True
+    if isinstance(s, Guard):
+        return _r_right_open(s.body)
+    if isinstance(s, Choice):
+        return _r_right_open(s.right)
+    if isinstance(s, Conj) and len(s.entries) == 1:
+        return _r_right_open(s.entries[0][1])
+    return False
+
+
+def reference_print(s):
+    return _r_render(s, _R_CHOICE, False)
+
+
+def _r_render(s, min_prec, followed):
+    if _r_prec(s) < min_prec or (followed and _r_right_open(s)):
+        return f"({_r_render(s, _R_CHOICE, False)})"
+    if isinstance(s, SFail):
+        return "fail"
+    if isinstance(s, SVar):
+        return s.name
+    if isinstance(s, Ins):
+        return f"ins <{print_context(s.ctx)}>"
+    if isinstance(s, Guard):
+        return f"{print_term(s.pattern)} ; {_r_render(s.body, _R_SEQ, followed)}"
+    if isinstance(s, Choice):
+        ops = []
+        node = s
+        while isinstance(node, Choice):
+            ops.append(node.right)
+            node = node.left
+        ops.append(node)
+        ops.reverse()
+        last = len(ops) - 1
+        return " + ".join(
+            _r_render(op, _R_SEQ, followed if i == last else True) for i, op in enumerate(ops)
+        )
+    if isinstance(s, Mu):
+        return f"mu {s.var}. {_r_render(s.body, _R_CHOICE, False)}"
+    if isinstance(s, Most):
+        return f"most({_r_render(s.body, _R_CHOICE, False)})"
+    if isinstance(s, IfThen):
+        cond = _r_render(s.cond, _R_CHOICE, False)
+        return f"if {cond} then {_r_render(s.body, _R_CHOICE, False)}"
+    if isinstance(s, Conj):
+        if len(s.entries) == 1:
+            return _r_render_jump(s, followed)
+        return f"[{', '.join(_r_render_entry(i, b) for i, b in s.entries)}]"
+    raise TypeError(f"not a strategy: {s!r}")
+
+
+def _r_collapse(s):
+    steps = []
+    while isinstance(s, Conj) and len(s.entries) == 1 and s.entries[0][0] is not None:
+        steps.append(s.entries[0][0])
+        s = s.entries[0][1]
+    return steps, s
+
+
+def _r_render_jump(s, followed):
+    idx, body = s.entries[0]
+    if idx is None:
+        return f"@eps.{_r_render(body, _R_SEQ, followed)}"
+    steps, tail = _r_collapse(s)
+    pos = ".".join(str(i) for i in steps)
+    return f"@{pos}.{_r_render(tail, _R_SEQ, followed)}"
+
+
+def _r_render_entry(idx, body):
+    if idx is None:
+        return f"@eps.{_r_render(body, _R_CHOICE, False)}"
+    steps, tail = _r_collapse(body)
+    pos = ".".join(str(i) for i in (idx, *steps))
+    return f"@{pos}.{_r_render(tail, _R_CHOICE, False)}"
+
+
+def test_printer_matches_the_reference_on_engine_outputs():
+    # engine outputs are shared DAGs; fed back into the engine they share more
+    cfg = GenConfig(seed=3)
+    printed = 0
+    for i in range(500):
+        s, r = gen_strategy(cfg, 2 * i), gen_strategy(cfg, 2 * i + 1)
+        for op in (unify, combine):
+            for policy in MergePolicy:
+                out = op(s, r, policy=policy)
+                outs = [out]
+                if i % 5 == 0:
+                    outs.append(op(s, r, policy=policy, simplify_output=False))
+                    try:
+                        outs.append(op(out, s, policy=policy))
+                    except ValidationFailure:
+                        pass  # a non-linear output is outside the engine's domain
+                for x in outs:
+                    text = print_strategy(x)
+                    assert text == reference_print(x)
+                    assert parse_strategy(text) is x
+                    printed += 1
+    assert printed >= 2000
+
+
+def test_printer_shared_nodes_and_settings():
+    x = Choice(Mu("X", SVar("X")), SVar("Y"))
+    for s in [
+        Choice(x, x),  # a shared choice, parenthesized as a right operand only
+        Choice(Guard(App("a"), x), Guard(App("a"), x)),
+        Conj(((1, x), (2, x), (None, Ins(TAU_I)))),
+        Choice(jump((1, 2), Mu("X", SVar("X"))), jump((1, 2), Mu("X", SVar("X")))),
+        IfThen(x, Most(x)),
+    ]:
+        assert print_strategy(s) == reference_print(s)
+        assert parse_strategy(print_strategy(s)) is s
+    assert print_strategy(Choice(x, x)) == "(mu X. X) + Y + ((mu X. X) + Y)"
+    with pytest.raises(TypeError, match="^not a strategy: 'X'$"):
+        print_strategy("X")
+
+
+DEEP = 10_000
+
+
+def test_print_and_parse_reach_10000_levels():
+    s = FAIL_S
+    for _ in range(DEEP):
+        s = Most(s)
+    text = "most(" * DEEP + "fail" + ")" * DEEP
+    assert print_strategy(s) == text
+    assert parse_strategy(text) is s
+
+    chain = SVar("X")
+    for _ in range(DEEP):
+        chain = IfThen(SVar("Y"), chain)
+    text = "if Y then " * DEEP + "X"
+    assert print_strategy(chain) == text
+    assert parse_strategy(text) is chain
+
+    # a guard chain that a choice follows is parenthesized once, at its top
+    guards = Mu("X", SVar("X"))
+    for _ in range(DEEP):
+        guards = Guard(App("a"), guards)
+    text = "(" + "a ; " * DEEP + "mu X. X) + Y"
+    assert print_strategy(Choice(guards, SVar("Y"))) == text
+    assert parse_strategy(text) is Choice(guards, SVar("Y"))
+
+    binders = SVar("X")
+    for _ in range(DEEP):
+        binders = Mu("X", binders)
+    assert parse_strategy("mu X. " * DEEP + "X") is binders
+    assert parse_strategy("(" * DEEP + "X" + ")" * DEEP) is SVar("X")
+    down = jump((1,) * DEEP, SVar("X"))
+    assert parse_strategy("@1." * DEEP + "X") is down
+    assert parse_strategy("[@1." * DEEP + "X" + "]" * DEEP) is down
+    assert print_strategy(down) == "@" + "1." * DEEP + "X"
+    spine = "f(" * DEEP + "a" + ")" * DEEP
+    assert print_term(parse_term(spine)) == spine
+
+
+# ---------------------------------------------------------------------------
 # strategies: property round trip
 # ---------------------------------------------------------------------------
 
@@ -305,6 +529,7 @@ def _strategies():
 @given(_strategies())
 def test_round_trip_parse_print(s):
     assert parse_strategy(print_strategy(s)) == s
+    assert print_strategy(s) == reference_print(s)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from ctxembed.terms import (
     PositionError,
     SignatureError,
     Var,
+    check_signature,
     depth,
     infer_signature,
     match,
@@ -433,6 +434,94 @@ def test_depth_replace_fill_merge_and_match_reach_10000_levels():
     assert match(spine(DEEP, Var("x")), deep) == {"x": a()}
     assert match(g(Var("x"), Var("x")), g(deep, spine(DEEP, a()))) == {"x": deep}
     assert match(g(Var("x"), Var("x")), g(deep, spine(DEEP, b()))) is None
+
+
+def test_positions_signatures_and_repr_reach_deep_terms():
+    deep = spine(DEEP, a())
+    with pytest.raises(SignatureError, match=r"^symbol 'f'/1 is not in the signature$"):
+        check_signature(deep, {"a": 0})
+    check_signature(g(deep, deep), DEFAULT_SIGNATURE)
+    assert infer_signature([deep]) == {"f": 1, "a": 0}
+    with pytest.raises(SignatureError, match=r"^symbol 'f' used with arities 1 and 2$"):
+        infer_signature([g(deep, App("f", (a(), b())))])
+    assert repr(deep) == "App(head='f', args=(" * DEEP + "App(head='a', args=())" + ",))" * DEEP
+    # the positions of a spine hold n(n+1)/2 indices in all, so a spine past
+    # the recursion limit, not 10^4 levels, keeps this one small
+    n = 2_000
+    assert positions(spine(n, a())) == [(1,) * k for k in range(n + 1)]
+
+
+def test_positions_signatures_and_repr_agree_with_their_recursive_definitions():
+    def rec_positions(t, here=()):
+        out = [here]
+        if isinstance(t, App):
+            for i, c in enumerate(t.args, start=1):
+                out += rec_positions(c, here + (i,))
+        return out
+
+    rng = random.Random(4)
+    pool = [a(), b(), Var("x"), HOLE, App("h", (a(), b(), Var("y"))), App("g", (a(),))]
+    for _ in range(300):
+        t = rng.choice(pool)
+        for _ in range(rng.randrange(6)):
+            t = rng.choice([f(t), g(t, rng.choice(pool)), g(rng.choice(pool), t)])
+        assert positions(t) == rec_positions(t)
+        assert repr(t) == dataclass_repr(t)
+        mentioned = [rng.choice(pool), t]
+        try:
+            want = infer_signature(mentioned)
+        except SignatureError as err:
+            want = str(err)
+        got = {}
+        try:
+            for u in mentioned:
+                got = _rec_infer(u, got)
+        except SignatureError as err:
+            got = str(err)
+        assert got == want
+        for sig in (DEFAULT_SIGNATURE, {"a": 0, "f": 1, "g": 1}):
+            try:
+                check_signature(t, sig)
+                want = None
+            except SignatureError as err:
+                want = str(err)
+            assert _rec_check(t, sig) == want
+
+
+def _rec_check(t, sig):
+    if isinstance(t, App):
+        if sig.get(t.head) != len(t.args):
+            return f"symbol {t.head!r}/{len(t.args)} is not in the signature"
+        for c in t.args:
+            found = _rec_check(c, sig)
+            if found is not None:
+                return found
+    return None
+
+
+def _rec_infer(t, sig):
+    if isinstance(t, App):
+        seen = sig.get(t.head)
+        if seen is None:
+            sig[t.head] = len(t.args)
+        elif seen != len(t.args):
+            raise SignatureError(f"symbol {t.head!r} used with arities {seen} and {len(t.args)}")
+        for c in t.args:
+            _rec_infer(c, sig)
+    return sig
+
+
+def dataclass_repr(t):
+    """The repr the dataclass generates, written out recursively."""
+    if isinstance(t, App):
+        return f"App(head={t.head!r}, args={tuple_repr(t.args)})"
+    return repr(t)
+
+
+def tuple_repr(items):
+    if len(items) == 1:
+        return f"({dataclass_repr(items[0])},)"
+    return f"({', '.join(map(dataclass_repr, items))})"
 
 
 # ---------------------------------------------------------------------------
