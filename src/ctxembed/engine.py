@@ -24,6 +24,12 @@ input can reach by the walk ``phi`` makes, unfolding each fixed point once,
 and stores phi of every numbered node as a bitset; a measure is a few
 popcounts and bit tests on that table.  The same walk gives rules 8a/8b their
 unfoldings and the names their new binders must avoid.
+
+The inputs are taken as they are given, neither renamed apart nor required
+to be linear.  Every sub-problem is closed: a rule descends only through
+constructors that bind nothing, and rules 8a/8b replace a fixed point by its
+closed unfolding.  So no input binder can capture a variable of the output,
+and each new binder takes a name neither input uses.
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ from ctxembed.strategy import (
     Strat,
     SVar,
     ValidationFailure,
-    alpha_rename,
     children,
     delta,
     free_vars,
@@ -380,32 +385,12 @@ class _Engine:
 # ---------------------------------------------------------------------------
 
 
-def _names_in(s: Strat) -> set[str]:
-    """Every variable name in ``s``, free or bound; shared subtrees are walked once."""
-    names: set[str] = set()
-    seen: set = set()
-    work = [s]
-    while work:
-        node = work.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        if isinstance(node, SVar):
-            names.add(node.name)
-        elif isinstance(node, Mu):
-            names.add(node.var)
-        work.extend(children(node))
-    return names
-
-
 def _require_valid(s: Strat, side: str) -> None:
     v = validate(s)
     if not v.closed:
         raise ValidationFailure(f"{side} strategy is open: {sorted(free_vars(s))}")
     if not v.monotone:
         raise ValidationFailure(f"{side} strategy is not monotone")
-    if not v.linear:
-        raise ValidationFailure(f"{side} strategy is not linear")
     if not v.well_founded:
         raise ValidationFailure(f"{side} strategy has a malformed conjunction")
     if not v.insertion_entries:
@@ -425,10 +410,9 @@ def unify(
     _require_valid(s, "left")
     _require_valid(r, "right")
     sig = DEFAULT_SIGNATURE if signature is None else signature
-    r2 = alpha_rename(r, _names_in(s))
-    engine = _Engine(policy, max_arity(sig), s, r2, trace)
+    engine = _Engine(policy, max_arity(sig), s, r, trace)
     empty = frozenset()
-    out = engine.solve(s, r2, empty, engine.measure(s, r2, empty), ())
+    out = engine.solve(s, r, empty, engine.measure(s, r, empty), ())
     return simplify_strategy(out) if simplify_output else out
 
 

@@ -400,7 +400,16 @@ def td(s: Strat) -> Strat:
 
 @dataclass(frozen=True, slots=True)
 class Validation:
-    """The side conditions the reduction engine needs, one field each."""
+    """Structural conditions of a strategy, one field each.
+
+    ``ok`` is exactly what the reduction engine requires of an input: closed,
+    monotone, well-founded maps and insertions as the only root map entries.
+    ``linear`` (each binder's variable occurs exactly once in its body) is
+    reported but not required.  The engine needs neither linearity nor
+    renaming its inputs apart: every sub-problem it opens is a pair of closed
+    strategies, so an input's binder can capture nothing, and the binders it
+    makes take names neither input uses.
+    """
 
     closed: bool
     monotone: bool
@@ -410,22 +419,18 @@ class Validation:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.closed
-            and self.monotone
-            and self.linear
-            and self.well_founded
-            and self.insertion_entries
-        )
+        return self.closed and self.monotone and self.well_founded and self.insertion_entries
 
 
 def _monotone_at(m: Mu) -> bool:
     """The binder's variable occurs only past a child index (numbered entry or most)."""
+    seen: set[Strat] = set()
     stack = [m.body]
     while stack:
         node = stack.pop()
-        if m.var not in node.free:
+        if m.var not in node.free or node in seen:
             continue
+        seen.add(node)
         if isinstance(node, SVar):
             return False
         if isinstance(node, Conj):
@@ -435,17 +440,26 @@ def _monotone_at(m: Mu) -> bool:
     return True
 
 
-def _count_occurrences(s: Strat, var: str) -> int:
-    """Free occurrences of ``var``; subtrees where it is not free are skipped."""
-    n, stack = 0, [s]
+def _linear_at(m: Mu) -> bool:
+    """The binder's variable occurs exactly once in its body.
+
+    Every node with the variable free holds an occurrence, so there is
+    exactly one when there is at least one and the walk through those nodes
+    reaches none of them twice.
+    """
+    if m.var not in m.body.free:
+        return False
+    seen: set[Strat] = set()
+    stack = [m.body]
     while stack:
         node = stack.pop()
-        if var in node.free:
-            if isinstance(node, SVar):
-                n += 1
-            else:
-                stack.extend(children(node))
-    return n
+        if m.var not in node.free:
+            continue
+        if node in seen:
+            return False
+        seen.add(node)
+        stack.extend(children(node))
+    return True
 
 
 def _well_founded_at(c: Conj) -> bool:
@@ -466,7 +480,7 @@ def validate(s: Strat) -> Validation:
     return Validation(
         closed=not free_vars(s),
         monotone=all(map(_monotone_at, binders)),
-        linear=all(_count_occurrences(m.body, m.var) == 1 for m in binders),
+        linear=all(map(_linear_at, binders)),
         well_founded=all(map(_well_founded_at, maps)),
         insertion_entries=all(
             isinstance(b, Ins) for c in maps for i, b in c.entries if i is None

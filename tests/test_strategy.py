@@ -3,6 +3,7 @@
 import gc
 import sys
 import threading
+import time
 from operator import is_
 
 import pytest
@@ -448,6 +449,17 @@ def test_validate_nonlinear():
 
 def test_validate_vacuous_mu_not_linear():
     assert not validate(Mu("X", Ins(TAU_I))).linear
+
+
+def test_validate_walks_a_shared_body_once():
+    # 2**40 paths reach the variable, through 42 distinct nodes
+    d = jump((1,), SVar("X"))
+    for _ in range(40):
+        d = Choice(d, d)
+    start = time.perf_counter()
+    v = validate(Mu("X", d))
+    assert time.perf_counter() - start < 0.1
+    assert v.monotone and not v.linear and v.ok
 
 
 def test_validate_well_founded_conj():

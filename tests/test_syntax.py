@@ -17,7 +17,6 @@ from ctxembed.strategy import (
     Mu,
     SFail,
     SVar,
-    ValidationFailure,
     jump,
 )
 from ctxembed.syntax import (
@@ -407,10 +406,7 @@ def test_printer_matches_the_reference_on_engine_outputs():
                 outs = [out]
                 if i % 5 == 0:
                     outs.append(op(s, r, policy=policy, simplify_output=False))
-                    try:
-                        outs.append(op(out, s, policy=policy))
-                    except ValidationFailure:
-                        pass  # a non-linear output is outside the engine's domain
+                    outs.append(op(out, s, policy=policy))
                 for x in outs:
                     text = print_strategy(x)
                     assert text == reference_print(x)
