@@ -35,7 +35,6 @@ from ctxembed.strategy import (
     alpha_rename,
     bound_vars,
     eval_strategy,
-    free_vars,
     jump,
     mu_iterate,
     nodes,
@@ -368,21 +367,21 @@ def check_unfold_oracle(
     return failures
 
 
-def _binder_bodies_progress(s: Strat, sig: Signature) -> bool:
-    """Every fixed point in ``s`` must descend before it can succeed.
+def _progresses(body: Strat, sig: Signature) -> bool:
+    """A binder body must descend before it can succeed.
 
-    Probes each binder body with all variables cut to failure; bodies that
-    still succeed on some constant make extra unfoldings observable there,
-    which is exactly the class the unfolding equivalence excludes.
+    Probes the body with all its variables cut to failure on every constant;
+    a body that still succeeds on one makes extra unfoldings observable
+    there, which is exactly the class the unfolding equivalence excludes.
     """
-    for node in nodes(s):
-        if isinstance(node, Mu):
-            probe = node.body
-            for name in free_vars(probe):
-                probe = subst_var(probe, name, FAIL_S)
-            if any(eval_strategy(probe, App(c)) is not None for c in _constants(sig)):
-                return False
-    return True
+    for name in body.free:
+        body = subst_var(body, name, FAIL_S)
+    return all(eval_strategy(body, App(c)) is None for c in _constants(sig))
+
+
+def _binder_bodies_progress(s: Strat, sig: Signature) -> bool:
+    """Every fixed point in ``s`` must descend before it can succeed."""
+    return all(_progresses(node.body, sig) for node in nodes(s) if isinstance(node, Mu))
 
 
 def _progressing_stream(cfg: GenConfig, count: int) -> list[Strat]:
@@ -547,17 +546,12 @@ def check_algebra(cfg: GenConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _frontier_progressing(var: str, body: Strat, sig: Signature) -> bool:
-    probe = subst_var(body, var, FAIL_S)
-    return all(eval_strategy(probe, App(c)) is None for c in _constants(sig))
-
-
 def _gen_fixed_point(cfg: GenConfig, index: int) -> Mu:
     rng = _rng(cfg, "fixedpoint", index)
     for _ in range(200):
         name = rng.choice(_BINDER_POOLS[0])
         body = _strat(rng, cfg, cfg.max_strategy_depth, max(0, cfg.max_mu_nesting - 1), ((name, False),))
-        if _frontier_progressing(name, body, cfg.signature):
+        if _progresses(body, cfg.signature):
             return Mu(name, body)
     ctx = gen_context(cfg, index)
     return Mu("X", Conj(((1, Choice(Ins(ctx), SVar("X"))),)))

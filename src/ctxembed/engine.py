@@ -8,13 +8,15 @@ fixed-point pairs), chosen by strict priority, and opens sub-problems; each
 sub-problem is solved where the rule opens it, left to right, and the rule's
 output is built from the finished results, so reduction is deterministic.
 
-Termination is enforced, not assumed: ``solve`` hands a rule a ``sub``
-function that measures each sub-problem when the rule opens it and asserts
-that the measure
+A rule returns data: its finished output, or a builder and the sub-problems
+whose results it takes, and ``solve`` is one loop over an explicit stack.
+
+Termination is enforced, not assumed: ``solve`` measures each sub-problem
+just before solving it and asserts that the measure
 
     (lambda, delta(left), delta(right))
 
-is strictly below that of the pair the rule fired on, before solving it.
+is strictly below that of the pair whose rule opened it.
 lambda counts not-yet-opened fixed-point pairs (closure sizes minus the memory
 entries still relevant to the pair) and delta is the (star height, tree depth)
 pair.  A violation raises ``EngineError`` instead of looping.
@@ -34,7 +36,7 @@ and each new binder takes a name neither input uses.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from ctxembed.strategy import (
     FAIL_S,
@@ -51,7 +53,6 @@ from ctxembed.strategy import (
     ValidationFailure,
     children,
     delta,
-    free_vars,
     fresh_name,
     simplify as simplify_strategy,
     subst_var,
@@ -68,9 +69,11 @@ _PHI_CAP = 100_000
 _MAX_STEPS = 1_000_000
 
 Measure = tuple[int, tuple[int, int], tuple[int, int]]
-# sub(left, right, memory, at) solves a sub-problem whose result sits at
-# position ``at`` of the rule's output
-Sub = Callable[[Strat, Strat, frozenset, tuple[int, ...]], Strat]
+# A rule's output: finished, or a builder and the sub-problems (one or more)
+# whose results it takes, in order.  A sub-problem (left, right, memory, at)
+# is a pair, the memory it is solved under and where its result sits.
+Problem = tuple[Strat, Strat, frozenset, tuple[int, ...]]
+Output = Union[Strat, tuple[Callable[..., Strat], tuple[Problem, ...]]]
 
 
 # ---------------------------------------------------------------------------
@@ -155,26 +158,26 @@ def _closures(succ: list[list[int]]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _never_fails(s: Strat) -> bool:
-    if isinstance(s, Ins):
-        return True
-    if isinstance(s, Conj):
-        return any(i is None and _never_fails(b) for i, b in s.entries)
-    if isinstance(s, Choice):
-        return _never_fails(s.left) or _never_fails(s.right)
-    if isinstance(s, IfThen):
-        return _never_fails(s.cond) and _never_fails(s.body)
-    return False
+def _gate(s: Strat, r: Strat, body: Strat) -> Strat:
+    """``body`` under an IfThen for each of ``s``, ``r`` that can fail; it
+    sits at ``_under_gates(s, r)``."""
+    for cond in (r, s):
+        if not cond.never_fails:
+            body = IfThen(cond, body)
+    return body
 
 
-def _gate(s: Strat, r: Strat, body: Callable[[tuple[int, ...]], Strat]) -> Strat:
-    """``body(at)`` under an IfThen for each of ``s``, ``r`` that can fail;
-    ``at`` is where the body sits below those gates."""
-    conds = [c for c in (s, r) if not _never_fails(c)]
-    out = body((2,) * len(conds))
-    for cond in reversed(conds):
-        out = IfThen(cond, out)
-    return out
+def _under_gates(s: Strat, r: Strat) -> tuple[int, ...]:
+    return (2,) * ((not s.never_fails) + (not r.never_fails))
+
+
+def _dotted(place: Optional[tuple]) -> str:
+    """The position a place in ``_Engine.solve`` names, as the trace writes it."""
+    parts: list[str] = []
+    while place is not None:
+        at, place = place
+        parts.extend(map(str, reversed(at)))
+    return ".".join(reversed(parts)) or "eps"
 
 
 class _Engine:
@@ -244,87 +247,96 @@ class _Engine:
                 lam -= 1
         return (lam, delta(left), delta(right))
 
-    def solve(
-        self, s: Strat, r: Strat, mem: frozenset, focus: Measure, path: tuple[int, ...]
-    ) -> Strat:
-        """The unification of ``s`` and ``r``, whose measure is ``focus``;
-        ``path`` is where it sits in the whole output, for the trace."""
-        if self.steps >= _MAX_STEPS:
-            raise EngineError("reduction exceeded the step cap")
-        self.steps += 1
-        rule, out = self.step(s, r, mem)
-        opened: list = []
-        if self.trace is not None:
-            self.trace.append(
-                {
-                    "rule": rule,
-                    "path": ".".join(str(i) for i in path) if path else "eps",
-                    "lambda": focus[0],
-                    "dl": list(focus[1]),
-                    "dr": list(focus[2]),
-                    "mem": len(mem),
-                    "children": opened,
-                }
-            )
-        if not callable(out):
-            return out
-
-        def sub(left: Strat, right: Strat, memory: frozenset, at: tuple[int, ...]) -> Strat:
-            kid = self.measure(left, right, memory)
+    def solve(self, s: Strat, r: Strat) -> Strat:
+        """The unification of ``s`` and ``r``.  ``waiting`` holds the rules
+        whose sub-problems are not all solved: (rule, measure and place of the
+        pair it fired on, the trace's opened children, builder, sub-problems,
+        results so far).  A place is None at the root and (at, the parent's
+        place) below it: one link per pair, not a copy of its path."""
+        mem: frozenset = frozenset()
+        focus, place = self.measure(s, r, mem), None
+        waiting: list[tuple] = []
+        while True:
+            if self.steps >= _MAX_STEPS:
+                raise EngineError("reduction exceeded the step cap")
+            self.steps += 1
+            rule, out = self.step(s, r, mem)
+            opened: list = []
+            if self.trace is not None:
+                self.trace.append(
+                    {
+                        "rule": rule,
+                        "path": _dotted(place),
+                        "lambda": focus[0],
+                        "dl": list(focus[1]),
+                        "dr": list(focus[2]),
+                        "mem": len(mem),
+                        "children": opened,
+                    }
+                )
+            if type(out) is tuple:
+                waiting.append((rule, focus, place, opened, *out, []))
+            else:
+                while waiting:
+                    results = waiting[-1][6]
+                    results.append(out)
+                    if len(results) < len(waiting[-1][5]):
+                        break
+                    out = waiting.pop()[4](*results)
+                else:
+                    return out
+            # the next sub-problem of the rule on top
+            rule, focus, place, opened, _, subs, results = waiting[-1]
+            s, r, mem, at = subs[len(results)]
+            kid = self.measure(s, r, mem)
             if not kid < focus:
                 raise EngineError(f"measure failed to decrease at rule {rule}: {focus} -> {kid}")
             opened.append([kid[0], list(kid[1]), list(kid[2])])
-            return self.solve(left, right, memory, kid, path + at)
-
-        return out(sub)
+            focus, place = kid, (at, place)
 
     def as_conj(self, s: Strat) -> Conj:
         if isinstance(s, Most):
             return Conj(tuple((i, s.body) for i in range(1, self.arity_bound + 1)))
         return s if isinstance(s, Conj) else Conj(((None, s),))
 
-    def combine_conjs(self, sub: Sub, s: Strat, r: Strat, mem: frozenset) -> Strat:
-        """Rules 4b, 7b and 7c: ``s`` and ``r`` as maps, entry by entry."""
+    def combine_conjs(self, s: Strat, r: Strat, mem: frozenset) -> Output:
+        """Rules 4b, 7b and 7c: ``s`` and ``r`` as maps, entry by entry; an
+        index both maps use opens the joint of its two entries."""
         sc, rc = self.as_conj(s), self.as_conj(r)
         l_num = [(i, b) for i, b in sc.entries if i is not None]
         r_num = [(j, b) for j, b in rc.entries if j is not None]
         l_eps = [b for i, b in sc.entries if i is None]
         r_eps = [b for j, b in rc.entries if j is None]
         lmap, rmap = dict(l_num), dict(r_num)
+        shared = [(i, b, rmap[i]) for i, b in l_num if i in rmap]
+        rest = [(i, b) for i, b in l_num if i not in rmap] + [(j, b) for j, b in r_num if j not in lmap]
+        if l_eps and r_eps:
+            rest.append((None, Ins(merge(l_eps[0].ctx, r_eps[0].ctx, self.policy))))
+        elif l_eps:
+            rest.append((None, l_eps[0]))
+        elif r_eps:
+            rest.append((None, r_eps[0]))
 
-        def conj(at: tuple[int, ...]) -> Conj:
-            out: list[tuple[Optional[int], Strat]] = []
-            for i, b in l_num:
-                if i in rmap:
-                    joint = sub(b, rmap[i], mem, at + (len(out) + 1, 1, 1))
-                    out.append((i, Choice(Choice(joint, b), rmap[i])))
-            for i, b in l_num:
-                if i not in rmap:
-                    out.append((i, b))
-            for j, b in r_num:
-                if j not in lmap:
-                    out.append((j, b))
-            if l_eps and r_eps:
-                out.append((None, Ins(merge(l_eps[0].ctx, r_eps[0].ctx, self.policy))))
-            elif l_eps:
-                out.append((None, l_eps[0]))
-            elif r_eps:
-                out.append((None, r_eps[0]))
-            return Conj(tuple(out))
+        def build(*joints: Strat) -> Strat:
+            out = [(i, Choice(Choice(j, b), c)) for (i, b, c), j in zip(shared, joints)]
+            return _gate(s, r, Conj(tuple(out + rest)))
 
-        return _gate(s, r, conj)
+        if not shared:
+            return build()
+        at = _under_gates(s, r)
+        return build, tuple((b, c, mem, at + (k, 1, 1)) for k, (_, b, c) in enumerate(shared, 1))
 
-    def bind(self, sub: Sub, s: Strat, r: Strat, mem: frozenset, left: Strat, right: Strat) -> Mu:
-        """A new binder for the pair (s, r), whose body solves (left, right)."""
+    def bind(self, s: Strat, r: Strat, mem: frozenset, left: Strat, right: Strat) -> Output:
+        """The variable of the binder opened for the pair (s, r), or a new
+        binder for it whose body solves (left, right), named when it opens."""
+        for a, b, z in mem:
+            if a == s and b == r:
+                return SVar(z)
         z = fresh_name("Z", self.taken)
-        return Mu(z, sub(left, right, mem | {(s, r, z)}, (1,)))
+        return lambda body: Mu(z, body), ((left, right, mem | {(s, r, z)}, (1,)),)
 
-    def step(
-        self, s: Strat, r: Strat, mem: frozenset
-    ) -> tuple[str, Strat | Callable[[Sub], Strat]]:
-        """The rule that fires on (s, r) and its output: finished, or a
-        function that builds it from ``sub``, which solves each sub-problem
-        the rule opens."""
+    def step(self, s: Strat, r: Strat, mem: frozenset) -> tuple[str, Output]:
+        """The rule that fires on (s, r) and its output."""
         if isinstance(s, SFail):
             return "1a", FAIL_S
         if isinstance(r, SFail):
@@ -332,9 +344,9 @@ class _Engine:
         if isinstance(s, Ins) and isinstance(r, Ins):
             return "2", Ins(merge(s.ctx, r.ctx, self.policy))
         if isinstance(s, Guard):
-            return "3a", lambda sub: Guard(s.pattern, sub(s.body, r, mem, (1,)))
+            return "3a", (lambda body: Guard(s.pattern, body), ((s.body, r, mem, (1,)),))
         if isinstance(r, Guard):
-            return "3b", lambda sub: Guard(r.pattern, sub(s, r.body, mem, (1,)))
+            return "3b", (lambda body: Guard(r.pattern, body), ((s, r.body, mem, (1,)),))
         if isinstance(s, (Conj, Ins)) and isinstance(r, (Conj, Ins)):
             if (
                 isinstance(s, Conj)
@@ -345,38 +357,34 @@ class _Engine:
             ):
                 i, sb = s.entries[0]
                 _, rb = r.entries[0]
-                return "4a", lambda sub: Conj(((i, sub(sb, rb, mem, (1,))),))
-            return "4b", lambda sub: self.combine_conjs(sub, s, r, mem)
+                return "4a", (lambda body: Conj(((i, body),)), ((sb, rb, mem, (1,)),))
+            return "4b", self.combine_conjs(s, r, mem)
         if isinstance(s, Choice):
-            return "5a", lambda sub: Choice(sub(s.left, r, mem, (1,)), sub(s.right, r, mem, (2,)))
+            return "5a", (Choice, ((s.left, r, mem, (1,)), (s.right, r, mem, (2,))))
         if isinstance(r, Choice):
-            return "5b", lambda sub: Choice(sub(s, r.left, mem, (1,)), sub(s, r.right, mem, (2,)))
+            return "5b", (Choice, ((s, r.left, mem, (1,)), (s, r.right, mem, (2,))))
         if isinstance(s, IfThen):
-            return "6a", lambda sub: IfThen(s.cond, sub(s.body, r, mem, (2,)))
+            return "6a", (lambda body: IfThen(s.cond, body), ((s.body, r, mem, (2,)),))
         if isinstance(r, IfThen):
-            return "6b", lambda sub: IfThen(r.cond, sub(s, r.body, mem, (2,)))
+            return "6b", (lambda body: IfThen(r.cond, body), ((s, r.body, mem, (2,)),))
         if isinstance(s, Most) and isinstance(r, Most):
-            return "7a", lambda sub: _gate(s, r, lambda at: Most(
-                Choice(Choice(sub(s.body, r.body, mem, at + (1, 1, 1)), s.body), r.body)
-            ))
+            at = _under_gates(s, r) + (1, 1, 1)
+            return "7a", (
+                lambda joint: _gate(s, r, Most(Choice(Choice(joint, s.body), r.body))),
+                ((s.body, r.body, mem, at),),
+            )
         if isinstance(s, Most) and isinstance(r, (Conj, Ins)):
             if self.arity_bound == 0:
                 return "7b", FAIL_S
-            return "7b", lambda sub: self.combine_conjs(sub, s, r, mem)
+            return "7b", self.combine_conjs(s, r, mem)
         if isinstance(s, (Conj, Ins)) and isinstance(r, Most):
             if self.arity_bound == 0:
                 return "7c", FAIL_S
-            return "7c", lambda sub: self.combine_conjs(sub, s, r, mem)
+            return "7c", self.combine_conjs(s, r, mem)
         if isinstance(s, Mu):
-            for a, b, z in mem:
-                if a == s and b == r:
-                    return "8a", SVar(z)
-            return "8a", lambda sub: self.bind(sub, s, r, mem, self.unfoldings[s], r)
+            return "8a", self.bind(s, r, mem, self.unfoldings[s], r)
         if isinstance(r, Mu):
-            for a, b, z in mem:
-                if a == s and b == r:
-                    return "8b", SVar(z)
-            return "8b", lambda sub: self.bind(sub, s, r, mem, s, self.unfoldings[r])
+            return "8b", self.bind(s, r, mem, s, self.unfoldings[r])
         raise EngineError(f"no rule applies to {s!r} / {r!r}")
 
 
@@ -388,7 +396,7 @@ class _Engine:
 def _require_valid(s: Strat, side: str) -> None:
     v = validate(s)
     if not v.closed:
-        raise ValidationFailure(f"{side} strategy is open: {sorted(free_vars(s))}")
+        raise ValidationFailure(f"{side} strategy is open: {sorted(s.free)}")
     if not v.monotone:
         raise ValidationFailure(f"{side} strategy is not monotone")
     if not v.well_founded:
@@ -410,9 +418,7 @@ def unify(
     _require_valid(s, "left")
     _require_valid(r, "right")
     sig = DEFAULT_SIGNATURE if signature is None else signature
-    engine = _Engine(policy, max_arity(sig), s, r, trace)
-    empty = frozenset()
-    out = engine.solve(s, r, empty, engine.measure(s, r, empty), ())
+    out = _Engine(policy, max_arity(sig), s, r, trace).solve(s, r)
     return simplify_strategy(out) if simplify_output else out
 
 

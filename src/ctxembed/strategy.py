@@ -23,8 +23,12 @@ Strategies are interned: building a node whose class and fields equal those
 of a live node returns that node, so structurally equal strategies are one
 object and equality and hashing are identity, O(1) at any depth.  The intern
 table holds weak references only, and each entry is removed when its node
-dies.  Each node stores three facts when it is built, computed from its
-children: its free variables, its star height and its tree depth.
+dies.  Each node stores five facts when it is built, from its fields and its
+children's facts: ``free`` (its free variables), ``star_height`` (the deepest
+binder nesting), ``tree_depth`` (the constructor depth, binders not counted,
+Most counted as a map of jumps), and whether the syntax alone forces success
+on every term (``never_fails``) or failure on every arity-0 term
+(``fails_on_constants``).  Every rewriting pass is one children-first pass.
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import count
 from operator import is_, itemgetter
 from typing import Callable, Iterator, Mapping, Optional, Union
 
@@ -68,13 +70,9 @@ def _drop(ref: _Ref, table=_TABLE, remove=_remove_dead_weakref) -> None:
 
 
 class _Node:
-    """Base of the strategy constructors: interning and the stored facts.
+    """Base of the strategy constructors: interning and the stored facts."""
 
-    ``free`` is the set of free variables, ``star_height`` the deepest binder
-    nesting and ``tree_depth`` the constructor depth (see ``tree_depth``).
-    """
-
-    __slots__ = ("free", "star_height", "tree_depth", "__weakref__")
+    __slots__ = ("free", "star_height", "tree_depth", "never_fails", "fails_on_constants", "__weakref__")
 
     def __new__(cls, *args):
         setters = _SETTERS[cls]
@@ -109,6 +107,9 @@ class _Node:
             _set_free(node, free)
             _set_height(node, height)
             _set_depth(node, tdepth)
+            never, foc = _FACTS[cls](node)
+            _set_never(node, never)
+            _set_foc(node, foc)
             ref = _Ref(node, _drop)
             ref.key = key
             _TABLE[key] = ref
@@ -121,6 +122,8 @@ _SETTERS: dict[type, tuple[Callable, ...]] = {}
 _set_free = _Node.free.__set__
 _set_height = _Node.star_height.__set__
 _set_depth = _Node.tree_depth.__set__
+_set_never = _Node.never_fails.__set__
+_set_foc = _Node.fails_on_constants.__set__
 
 
 def _node(cls):
@@ -206,6 +209,35 @@ _CHILDREN: dict[type, Callable[[Strat], tuple[Strat, ...]]] = {
     IfThen: lambda s: (s.cond, s.body),
 }
 
+# (never_fails, fails_on_constants) of a node.  A binder fails on constants
+# outright (the zero iterate fails), a compound guard pattern matches no leaf,
+# child entries and Most have no child there, and a free variable is unknown.
+_FACTS: dict[type, Callable[[Strat], tuple[bool, bool]]] = {
+    SFail: lambda s: (False, True),
+    SVar: lambda s: (False, False),
+    Ins: lambda s: (True, False),
+    Guard: lambda s: (False, isinstance(s.pattern, App) and bool(s.pattern.args)
+                      or s.body.fails_on_constants),
+    Choice: lambda s: (s.left.never_fails or s.right.never_fails,
+                       s.left.fails_on_constants and s.right.fails_on_constants),
+    Mu: lambda s: (False, True),
+    Conj: lambda s: _map_facts(s.entries),
+    Most: lambda s: (False, True),
+    IfThen: lambda s: (s.cond.never_fails and s.body.never_fails,
+                       s.cond.fails_on_constants or s.body.fails_on_constants),
+}
+
+
+
+def _map_facts(entries: tuple) -> tuple[bool, bool]:
+    # only root entries act on a constant, and a map succeeds when one does
+    never, foc = False, True
+    for i, b in entries:
+        if i is None:
+            never, foc = never or b.never_fails, foc and b.fails_on_constants
+    return never, foc
+
+
 FAIL_S = SFail()
 
 
@@ -227,6 +259,30 @@ def rebuild(s: Strat, kids: tuple[Strat, ...]) -> Strat:
     return type(s)(*kids)
 
 
+def _children_first(s: Strat, f: Callable[[Strat, tuple[Strat, ...]], Strat],
+                    keep: Optional[Callable[[Strat], bool]] = None) -> Strat:
+    """``f(node, its rewritten children)`` once per distinct node of ``s``,
+    children before their parent, on an explicit stack; a node ``keep``
+    accepts is its own result, and its children are not visited.  The memo
+    lasts one call."""
+    memo: dict[Strat, Strat] = {}
+    stack: list = [s]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            node, kids = node
+            memo[node] = f(node, tuple([memo[c] for c in kids]))
+        elif node not in memo:
+            if keep is not None and keep(node):
+                memo[node] = node
+            else:
+                # (node, children) comes back off the stack once they are done
+                kids = _CHILDREN[type(node)](node)
+                stack.append((node, kids))
+                stack.extend(kids)
+    return memo[s]
+
+
 def nodes(s: Strat) -> Iterator[Strat]:
     """Every distinct node of ``s`` once, ``s`` first; siblings come out right
     to left.  A shared node comes out where the walk first meets it, so the
@@ -246,10 +302,6 @@ def nodes(s: Strat) -> Iterator[Strat]:
 # variables and substitution
 # ---------------------------------------------------------------------------
 
-def free_vars(s: Strat) -> frozenset[str]:
-    return s.free
-
-
 def bound_vars(s: Strat) -> set[str]:
     return {node.var for node in nodes(s) if isinstance(node, Mu)}
 
@@ -259,14 +311,10 @@ def subst_var(s: Strat, var: str, rep: Strat) -> Strat:
 
     Subtrees without a free ``var`` come back as the same objects.
     """
-    if var not in s.free:
-        return s
-    if isinstance(s, SVar):
-        return rep
-    return rebuild(s, tuple(subst_var(c, var, rep) for c in children(s)))
+    return _children_first(s, lambda node, kids: rep if isinstance(node, SVar) else rebuild(node, kids),
+                           keep=lambda node: var not in node.free)
 
 
-@lru_cache(maxsize=4096)
 def mu_iterate(var: str, body: Strat, n: int) -> Strat:
     """The n-th iterate of a binder body: 0 is failure, n+1 substitutes n.
 
@@ -275,9 +323,10 @@ def mu_iterate(var: str, body: Strat, n: int) -> Strat:
     and the translation use an environment instead; the stabilization and
     unfolding suites compare them against this definition.
     """
-    if n <= 0:
-        return FAIL_S
-    return subst_var(body, var, mu_iterate(var, body, n - 1))
+    out = FAIL_S
+    for _ in range(n):
+        out = subst_var(body, var, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +438,7 @@ def fresh_name(base: str, taken: set[str]) -> str:
 
 def td(s: Strat) -> Strat:
     """Top-down driver: try ``s`` here, else at the topmost children it fits."""
-    name = fresh_name("X", set(free_vars(s)) | bound_vars(s))
+    name = fresh_name("X", set(s.free) | bound_vars(s))
     return Mu(name, Choice(s, Most(SVar(name))))
 
 
@@ -478,7 +527,7 @@ def validate(s: Strat) -> Validation:
         elif isinstance(node, Conj):
             maps.append(node)
     return Validation(
-        closed=not free_vars(s),
+        closed=not s.free,
         monotone=all(map(_monotone_at, binders)),
         linear=all(map(_linear_at, binders)),
         well_founded=all(map(_well_founded_at, maps)),
@@ -493,16 +542,6 @@ def validate(s: Strat) -> Validation:
 # ---------------------------------------------------------------------------
 
 
-def star_height(s: Strat) -> int:
-    """Deepest nesting of fixed-point binders."""
-    return s.star_height
-
-
-def tree_depth(s: Strat) -> int:
-    """Constructor depth ignoring binders; Most counts as a conjunction of jumps."""
-    return s.tree_depth
-
-
 def delta(s: Strat) -> tuple[int, int]:
     """Lexicographic (star height, tree depth)."""
     return (s.star_height, s.tree_depth)
@@ -514,35 +553,11 @@ def delta(s: Strat) -> tuple[int, int]:
 
 
 def unfold(s: Strat, counts: Mapping[str, int]) -> Strat:
-    """Replace each binder by a finite iterate; counts maps binder names."""
-    if isinstance(s, Mu):
-        if s.var not in counts:
-            raise KeyError(f"no unfold count for {s.var}")
-        return mu_iterate(s.var, unfold(s.body, counts), counts[s.var])
-    return rebuild(s, tuple([unfold(c, counts) for c in children(s)]))
-
-
-def fails_on_constants(s: Strat) -> bool:
-    """Failure on every arity-0 term is forced by the syntax alone.
-
-    Binders fail on constants outright (the zero iterate is the failing
-    strategy), compound guard patterns cannot match a leaf, child entries and
-    Most have no child to visit.  Insertions succeed and free variables are
-    unknown, so both report False.
-    """
-    if isinstance(s, (SFail, Most, Mu)):
-        return True
-    if isinstance(s, Guard):
-        if isinstance(s.pattern, App) and s.pattern.args:
-            return True
-        return fails_on_constants(s.body)
-    if isinstance(s, Choice):
-        return fails_on_constants(s.left) and fails_on_constants(s.right)
-    if isinstance(s, Conj):
-        return all(fails_on_constants(b) for i, b in s.entries if i is None)
-    if isinstance(s, IfThen):
-        return fails_on_constants(s.cond) or fails_on_constants(s.body)
-    return False
+    """Replace each binder by a finite iterate; counts maps binder names, and
+    a binder missing from it raises KeyError."""
+    return _children_first(s, lambda node, kids: (
+        mu_iterate(node.var, kids[0], counts[node.var]) if isinstance(node, Mu) else rebuild(node, kids)
+    ), keep=lambda node: not node.star_height)
 
 
 def simplify(s: Strat) -> Strat:
@@ -551,35 +566,20 @@ def simplify(s: Strat) -> Strat:
     An unused binder only disappears when its body fails on every constant:
     the zero iterate makes every fixed point fail on arity-0 terms, so
     dropping mu from a body that succeeds there would change the semantics.
-    Shared subtrees are simplified once, children before their parent, on an
-    explicit stack.
+    Shared subtrees are simplified once, children before their parent.
     """
-    memo: dict[Strat, Strat] = {}
-    stack: list = [s]
-    while stack:
-        node = stack.pop()
-        if type(node) is not tuple:
-            if node not in memo:
-                # (node,) comes back off the stack once its children are done
-                stack.append((node,))
-                stack.extend(children(node))
-            continue
-        node = node[0]
-        kids = tuple([memo[c] for c in children(node)])
-        if isinstance(node, Choice) and isinstance(kids[0], SFail):
-            out = kids[1]
-        elif isinstance(node, Choice) and isinstance(kids[1], SFail):
-            out = kids[0]
-        elif (
-            isinstance(node, Mu)
-            and node.var not in free_vars(kids[0])
-            and fails_on_constants(kids[0])
-        ):
-            out = kids[0]
-        else:
-            out = rebuild(node, kids)
-        memo[node] = out
-    return memo[s]
+    return _children_first(s, _simplify_node)
+
+
+def _simplify_node(node: Strat, kids: tuple[Strat, ...]) -> Strat:
+    if isinstance(node, Choice):
+        if isinstance(kids[0], SFail):
+            return kids[1]
+        if isinstance(kids[1], SFail):
+            return kids[0]
+    elif isinstance(node, Mu) and node.var not in kids[0].free and kids[0].fails_on_constants:
+        return kids[0]
+    return rebuild(node, kids)
 
 
 # ---------------------------------------------------------------------------
@@ -587,37 +587,33 @@ def simplify(s: Strat) -> Strat:
 # ---------------------------------------------------------------------------
 
 
-def _rename_binders(s: Strat, pick: Callable[[str], str]) -> Strat:
-    """Rename every binder to ``pick(old name)``, in pre-order.
+def _rename_binders(s: Strat, taken: set[str]) -> Strat:
+    """``s`` with every binder named after its star height, which strictly
+    decreases along every path, so no binder shadows another.  The names are
+    drawn from outside ``taken``, which holds every name in ``s``, so none
+    captures a free variable.  A node's renaming depends on the node alone."""
+    names: list[str] = []
+    k = 0
+    while len(names) < s.star_height:
+        k += 1
+        if f"V{k}" not in taken:
+            names.append(f"V{k}")
 
-    A subtree with no binder and no free variable being renamed comes back
-    as it is.
-    """
+    def rename(node: Strat, kids: tuple[Strat, ...]) -> Strat:
+        if not isinstance(node, Mu):
+            return rebuild(node, kids)
+        name = names[node.star_height - 1]
+        return Mu(name, subst_var(kids[0], node.var, SVar(name)))
 
-    def walk(node: Strat, env: dict[str, str]) -> Strat:
-        if not node.star_height and node.free.isdisjoint(env):
-            return node
-        if isinstance(node, SVar):
-            return SVar(env[node.name]) if node.name in env else node
-        if isinstance(node, Mu):
-            new = pick(node.var)
-            return Mu(new, walk(node.body, {**env, node.var: new}))
-        return rebuild(node, tuple([walk(c, env) for c in children(node)]))
-
-    return walk(s, {})
+    return _children_first(s, rename, keep=lambda node: not node.star_height)
 
 
 def alpha_rename(s: Strat, avoid: set[str]) -> Strat:
     """Rename binders so no bound name lies in ``avoid``; deterministic."""
-    taken = set(avoid) | free_vars(s)
-    return _rename_binders(s, lambda base: fresh_name(base, taken))
+    return _rename_binders(s, set(avoid) | s.free | bound_vars(s))
 
 
 def alpha_eq(s1: Strat, s2: Strat) -> bool:
     """Equality up to consistent renaming of bound variables."""
-
-    def canon(s: Strat) -> Strat:
-        numbers = count()
-        return _rename_binders(s, lambda _: f"V{next(numbers)}")
-
-    return canon(s1) == canon(s2)
+    taken = s1.free | s2.free | bound_vars(s1) | bound_vars(s2)
+    return _rename_binders(s1, taken) is _rename_binders(s2, taken)

@@ -45,9 +45,7 @@ from ctxembed.strategy import (
     eval_strategy,
     jump,
     nodes,
-    star_height,
     td,
-    tree_depth,
     validate,
 )
 from ctxembed.syntax import parse_strategy, parse_term, print_posce, print_term
@@ -118,8 +116,8 @@ def test_gen_strategy_always_validates():
     for i in range(400):
         s = gen_strategy(cfg, i)
         assert validate(s).ok, i
-        assert tree_depth(s) <= cfg.max_strategy_depth, i
-        assert star_height(s) <= cfg.max_mu_nesting, i
+        assert s.tree_depth <= cfg.max_strategy_depth, i
+        assert s.star_height <= cfg.max_mu_nesting, i
         assert s == gen_strategy(GenConfig(), i)
 
 

@@ -33,7 +33,7 @@ from ctxembed.strategy import (
     jump,
     validate,
 )
-from ctxembed.syntax import parse_strategy, print_term
+from ctxembed.syntax import parse_strategy, print_strategy, print_term
 from ctxembed.terms import DEFAULT_SIGNATURE, HOLE, App, Context, MergePolicy, Var, merge
 from ctxembed.translate import psi
 
@@ -515,6 +515,14 @@ def test_trace_paths_locate_each_step_in_the_output():
         ("4b", "2.2"),
         ("2", "2.2.2.1.1.1"),
     ]
+    # when both sides can fail, two gates: the body sits at 2.2
+    for left, right, rules in (
+        ("most(ins <f([])>)", "most(a ; ins <g([],a)>)", ("7a", "3b")),
+        ("[@1.ins <f([])>, @2.b ; ins <f([])>]", "@2.a ; ins <g([],a)>", ("4b", "3a")),
+    ):
+        trace = []
+        unify(parse_strategy(left), parse_strategy(right), trace=trace)
+        assert [(e["rule"], e["path"]) for e in trace[:2]] == list(zip(rules, ("eps", "2.2.1.1.1")))
 
 
 def test_reduction_stops_a_child_that_does_not_shrink(monkeypatch):
@@ -524,7 +532,7 @@ def test_reduction_stops_a_child_that_does_not_shrink(monkeypatch):
 
     def stalling_step(self, s, r, mem):
         if isinstance(s, Ins) and isinstance(r, Ins):
-            return "2", lambda sub: Guard(Var("x"), sub(s, r, mem, (1,)))
+            return "2", (lambda body: Guard(Var("x"), body), ((s, r, mem, (1,)),))
         return original(self, s, r, mem)
 
     monkeypatch.setattr(engine_module._Engine, "step", stalling_step)
@@ -540,7 +548,7 @@ def test_reduction_checks_every_child_a_step_opens(monkeypatch):
     def stalling_step(self, s, r, mem):
         if not isinstance(s, Choice):
             return original(self, s, r, mem)
-        return "5a", lambda sub: Choice(sub(s.left, r, mem, (1,)), sub(s, r, mem, (2,)))
+        return "5a", (Choice, ((s.left, r, mem, (1,)), (s, r, mem, (2,))))
 
     monkeypatch.setattr(engine_module._Engine, "step", stalling_step)
     with pytest.raises(EngineError, match="measure failed to decrease at rule 5a"):
@@ -604,17 +612,37 @@ def test_step_cap_stops_unify(monkeypatch):
         unify(XI, XI_P)
 
 
-def test_unify_reaches_250_nested_indices():
-    # neither solving the sub-problems nor simplifying the output may cost
-    # more than a few frames per level of the inputs
+def _same_text_back(s) -> bool:
+    return parse_strategy(print_strategy(s)) is s
+
+
+def test_unify_and_combine_reach_10000_levels():
+    # the engine solves its sub-problems on an explicit stack, so no depth of
+    # the inputs or the output costs a Python frame; evaluation still
+    # recurses per term level, so the outputs are checked by their shape
+    n = 10_000
+    ins = parse_strategy("ins <[]>")
+    guards = parse_strategy("a ; " * n + "ins <[]>")
+    choices = parse_strategy("a ; ins <[]> + (" * n + "ins <[]>" + ")" * n)
+    for s, depth in ((guards, n + 1), (choices, n + 2)):
+        for op, extra in ((unify, 0), (combine, 2)):
+            got = op(s, ins)
+            assert got.tree_depth == depth + extra
+            assert validate(got).ok and _same_text_back(got)
+    spine = parse_strategy("mu X. @" + "1." * n + "(ins <[]> + X)")
+    got = unify(spine, spine)
+    assert (got.star_height, got.tree_depth) == (2, 3 * n + 6)
+    assert validate(got).ok and _same_text_back(got)
+    assert eval_strategy(got, f(a())) is None
+    # the same shape at a depth evaluation reaches runs as its input does
     s = Mu("X", jump((1,) * 250, Choice(Ins(Context(HOLE)), SVar("X"))))
     got = unify(s, s)
-    spine = a()
+    t = a()
     for _ in range(250):
-        spine = f(spine)
+        t = f(t)
     # printed, because comparing terms this deep recurses
-    assert print_term(eval_strategy(got, spine)) == print_term(spine)
-    assert print_term(eval_strategy(got, f(spine))) == print_term(f(spine))
+    assert print_term(eval_strategy(got, t)) == print_term(t)
+    assert print_term(eval_strategy(got, f(t))) == print_term(f(t))
     assert eval_strategy(got, f(a())) is None
 
 

@@ -8,8 +8,7 @@ from operator import is_
 
 import pytest
 
-from ctxembed.checks import GenConfig, _gen_fixed_point, gen_strategy, gen_term
-from ctxembed.engine import unify
+from ctxembed.checks import GenConfig, _gen_fixed_point, gen_strategy, gen_term, terms_up_to_depth
 from ctxembed.strategy import (
     Choice,
     Conj,
@@ -19,6 +18,7 @@ from ctxembed.strategy import (
     Ins,
     Most,
     Mu,
+    Strat,
     SVar,
     ValidationFailure,
     _TABLE,
@@ -28,19 +28,17 @@ from ctxembed.strategy import (
     children,
     delta,
     eval_strategy,
-    free_vars,
     jump,
     mu_iterate,
     nodes,
     rebuild,
     simplify,
-    star_height,
+    subst_var,
     td,
-    tree_depth,
     unfold,
     validate,
 )
-from ctxembed.syntax import parse_strategy, parse_term, print_term
+from ctxembed.syntax import parse_strategy, parse_term, print_strategy, print_term
 from ctxembed.terms import App, Context, HOLE, Var, depth
 
 
@@ -77,32 +75,57 @@ XI = Mu("X", Choice(Guard(U_DIAG, Ins(TAU_I)), jump((1,), SVar("X"))))
 
 K1, K2, K3 = SVar("K1"), SVar("K2"), SVar("K3")
 
-# one node of each constructor, its children, and the node with K1, K2, ... as
-# children; the non-strategy fields (pattern, binder, indices) must survive
+# one node of each constructor, its children, the node with K1, K2, ... as
+# children (the non-strategy fields, pattern, binder and indices, must
+# survive), and its stored facts never_fails and fails_on_constants
 ONE_OF_EACH = [
-    (FAIL_S, (), FAIL_S),
-    (SVar("X"), (), SVar("X")),
-    (Ins(TAU_I), (), Ins(TAU_I)),
-    (Guard(U_DIAG, Ins(TAU_I)), (Ins(TAU_I),), Guard(U_DIAG, K1)),
-    (Choice(Ins(TAU_I), FAIL_S), (Ins(TAU_I), FAIL_S), Choice(K1, K2)),
-    (Mu("X", jump((1,), SVar("X"))), (jump((1,), SVar("X")),), Mu("X", K1)),
+    (FAIL_S, (), FAIL_S, False, True),
+    (SVar("X"), (), SVar("X"), False, False),
+    (Ins(TAU_I), (), Ins(TAU_I), True, False),
+    (Guard(U_DIAG, Ins(TAU_I)), (Ins(TAU_I),), Guard(U_DIAG, K1), False, True),
+    (Choice(Ins(TAU_I), FAIL_S), (Ins(TAU_I), FAIL_S), Choice(K1, K2), True, False),
+    (Mu("X", jump((1,), SVar("X"))), (jump((1,), SVar("X")),), Mu("X", K1), False, True),
     (
         Conj(((2, Ins(TAU_I)), (1, FAIL_S), (None, Ins(TAU_J)))),
         (Ins(TAU_I), FAIL_S, Ins(TAU_J)),
         Conj(((2, K1), (1, K2), (None, K3))),
+        True,
+        False,
     ),
-    (Most(Ins(TAU_J)), (Ins(TAU_J),), Most(K1)),
-    (IfThen(Ins(TAU_I), FAIL_S), (Ins(TAU_I), FAIL_S), IfThen(K1, K2)),
+    (Most(Ins(TAU_J)), (Ins(TAU_J),), Most(K1), False, True),
+    (IfThen(Ins(TAU_I), FAIL_S), (Ins(TAU_I), FAIL_S), IfThen(K1, K2), False, True),
 ]
+_EACH_ID = [type(row[0]).__name__ for row in ONE_OF_EACH]
 
 
-@pytest.mark.parametrize(
-    "s, kids, replaced", ONE_OF_EACH, ids=[type(s).__name__ for s, _, _ in ONE_OF_EACH]
-)
-def test_children_and_rebuild(s, kids, replaced):
+@pytest.mark.parametrize("s, kids, replaced, _n, _f", ONE_OF_EACH, ids=_EACH_ID)
+def test_children_and_rebuild(s, kids, replaced, _n, _f):
     assert children(s) == kids
     assert rebuild(s, children(s)) is s
     assert rebuild(s, (K1, K2, K3)[: len(kids)]) == replaced
+
+
+@pytest.mark.parametrize("s, _k, _r, never_fails, fails_on_constants", ONE_OF_EACH, ids=_EACH_ID)
+def test_stored_facts(s, _k, _r, never_fails, fails_on_constants):
+    assert (s.never_fails, s.fails_on_constants) == (never_fails, fails_on_constants)
+
+
+def test_stored_facts_hold_on_generated_strategies():
+    # what the syntax forces must agree with evaluation: checked on every
+    # closed node of a generated stream
+    suite = terms_up_to_depth(GenConfig().signature, 2)
+    constants = [t for t in suite if depth(t) == 0]
+    closed: set = set()
+    for i in range(600):
+        closed.update(node for node in nodes(gen_strategy(GenConfig(seed=3), i)) if not node.free)
+    never = [s for s in closed if s.never_fails]
+    on_constants = [s for s in closed if s.fails_on_constants]
+    for s in never:
+        assert all(eval_strategy(s, t) is not None for t in suite), s
+    for s in on_constants:
+        assert all(eval_strategy(s, t) is None for t in constants), s
+    # neither fact is vacuous here, nor always set
+    assert 200 < len(never) < len(closed) and 200 < len(on_constants) < len(closed)
 
 
 def test_nodes_lists_every_node_right_to_left():
@@ -124,15 +147,37 @@ def test_nodes_gives_a_shared_node_once_where_first_met():
     assert bound_vars(Mu("Y", deep)) == {"Y"} and not validate(deep).closed
 
 
-def test_structural_passes_reach_150_levels():
-    # every pass spends at least one Python frame per level; one that spends
-    # needlessly many raises RecursionError well before this depth
-    s = Mu("X", jump((1,) * 150, Choice(Ins(Context(HOLE)), SVar("X"))))
-    assert validate(s).ok
-    assert tree_depth(unfold(s, {"X": 1})) == 152
-    assert alpha_eq(alpha_rename(s, {"X"}), s)
-    assert (star_height(s), tree_depth(s)) == (1, 152)
-    assert unify(s, Ins(Context(f(HOLE)))) != FAIL_S
+def _same_text_back(s: Strat) -> bool:
+    return parse_strategy(print_strategy(s)) is s
+
+
+def test_structural_passes_reach_10000_levels():
+    # each rewriting pass is one children-first loop over the distinct nodes,
+    # so no level costs a Python frame; evaluation still recurses per term
+    # level, so the results are checked by their shape
+    n = 10_000
+
+    def spine(var):
+        return Mu(var, jump((1,) * n, Choice(Ins(Context(HOLE)), SVar(var))))
+
+    s = spine("X")
+    cut = subst_var(s.body, "X", FAIL_S)
+    assert cut.tree_depth == n + 2 and validate(cut).ok and _same_text_back(cut)
+    once = unfold(s, {"X": 1})
+    assert once.tree_depth == n + 2 and validate(once).ok and _same_text_back(once)
+    iterate = mu_iterate("X", jump((1,), Choice(Ins(Context(HOLE)), SVar("X"))), n)
+    assert iterate.tree_depth == 2 * n + 1 and validate(iterate).ok
+    assert _same_text_back(iterate)
+    renamed = alpha_rename(s, {"X"})
+    assert "X" not in bound_vars(renamed) and validate(renamed).ok
+    assert _same_text_back(renamed)
+    assert alpha_eq(renamed, s) and alpha_eq(spine("Y"), s)
+    # an unused binder stays over a body that succeeds on a constant, and
+    # goes over one that fails on every constant
+    kept = parse_strategy("mu X. " + "a ; " * n + "ins <[]>")
+    assert simplify(kept) is kept
+    dropped = parse_strategy("mu X. " + "a ; " * n + "f(x) ; ins <[]>")
+    assert simplify(dropped) is dropped.body and dropped.body.tree_depth == n + 2
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +339,7 @@ def test_eval_environment_agrees_with_substitution_on_generated_fixed_points():
     checked = 0
     for i in range(200):
         binders = [_gen_fixed_point(cfg, i)]
-        binders += [m for m in nodes(gen_strategy(cfg, i)) if isinstance(m, Mu) and not free_vars(m)]
+        binders += [m for m in nodes(gen_strategy(cfg, i)) if isinstance(m, Mu) and not m.free]
         for m in binders:
             for t in (terms[i % len(terms)], terms[(i + 1) % len(terms)]):
                 assert eval_strategy(m, t) == eval_strategy(mu_iterate(m.var, m.body, depth(t)), t)
@@ -410,10 +455,10 @@ def test_strategy_10000_deep_needs_no_recursion():
 
     s = build()
     assert hash(s) == hash(build()) and s == build()
-    assert free_vars(s) == frozenset()
-    assert delta(s) == (star_height(s), tree_depth(s)) == (1, 10_002)
+    assert s.free == frozenset()
+    assert delta(s) == (s.star_height, s.tree_depth) == (1, 10_002)
     assert validate(s).ok
-    assert star_height(td(s)) == 2
+    assert td(s).star_height == 2
     assert simplify(s) is s
 
 
@@ -474,21 +519,21 @@ def test_validate_well_founded_conj():
 
 
 def test_star_height():
-    assert star_height(Ins(TAU_I)) == 0
-    assert star_height(XI) == 1
-    assert star_height(Mu("X", Most(Mu("Y", Choice(jump((1,), SVar("Y")), SVar("X")))))) == 2
-    assert star_height(td(XI)) == 2
+    assert Ins(TAU_I).star_height == 0
+    assert XI.star_height == 1
+    assert Mu("X", Most(Mu("Y", Choice(jump((1,), SVar("Y")), SVar("X"))))).star_height == 2
+    assert td(XI).star_height == 2
 
 
 def test_tree_depth():
-    assert tree_depth(FAIL_S) == 0
-    assert tree_depth(SVar("X")) == 0
-    assert tree_depth(Ins(TAU_I)) == 1
-    assert tree_depth(Guard(a(), Ins(TAU_I))) == 2
-    assert tree_depth(jump((1,), SVar("X"))) == 1
+    assert FAIL_S.tree_depth == 0
+    assert SVar("X").tree_depth == 0
+    assert Ins(TAU_I).tree_depth == 1
+    assert Guard(a(), Ins(TAU_I)).tree_depth == 2
+    assert jump((1,), SVar("X")).tree_depth == 1
     # depth of the binder is the depth of its body
-    assert tree_depth(XI) == 3
-    assert tree_depth(Most(SVar("X"))) == 2
+    assert XI.tree_depth == 3
+    assert Most(SVar("X")).tree_depth == 2
 
 
 def test_delta_lexicographic_drop_on_unfold():
@@ -554,7 +599,7 @@ def test_simplify_keeps_used_binder():
 
 def test_free_and_bound_vars():
     s = Mu("X", Choice(jump((1,), SVar("X")), SVar("Y")))
-    assert free_vars(s) == {"Y"}
+    assert s.free == {"Y"}
     assert bound_vars(s) == {"X"}
 
 
@@ -570,3 +615,42 @@ def test_alpha_rename_avoids_collisions():
     assert alpha_eq(renamed, XI)
     assert "X" not in bound_vars(renamed)
     assert eval_strategy(renamed, g(b(), b())) == eval_strategy(XI, g(b(), b()))
+
+
+def test_renaming_a_shared_body_walks_each_node_once():
+    # 2**40 paths reach the variable, through 42 distinct nodes
+    d = jump((1,), SVar("X"))
+    for _ in range(40):
+        d = Choice(d, d)
+    m = Mu("X", d)
+    for run in (lambda: alpha_eq(m, m), lambda: alpha_rename(m, {"X"})):
+        start = time.perf_counter()
+        run()
+        assert time.perf_counter() - start < 0.1
+    assert alpha_eq(alpha_rename(m, {"X"}), m)
+
+
+@pytest.mark.parametrize("name", ["V", "V1", "V2", "X2"])
+def test_drawn_binder_names_capture_no_free_variable(name):
+    # the first binder is unused, so its body's variable is free
+    assert not alpha_eq(Mu("X", SVar(name)), Mu(name, SVar(name)))
+    assert not alpha_eq(Mu(name, SVar(name)), Mu("X", SVar(name)))
+    assert not alpha_eq(Mu("X", SVar(name)), Mu("X", SVar("X")))
+    renamed = alpha_rename(Mu("X", Choice(SVar(name), jump((1,), SVar("X")))), set())
+    assert renamed.free == {name} and name not in bound_vars(renamed)
+
+
+@pytest.mark.parametrize("x, y", [("X", "Y"), ("V1", "V2"), ("V2", "V1")])
+def test_sibling_and_nested_binders_stay_alpha_equal(x, y):
+    s = Choice(Mu(x, jump((1,), SVar(x))), Mu(y, jump((2,), SVar(y))))
+    renamed = alpha_rename(s, {x, y})
+    assert alpha_eq(renamed, s) and alpha_eq(s, renamed)
+    assert not bound_vars(renamed) & {x, y}
+    assert alpha_eq(Choice(Mu(y, jump((1,), SVar(y))), Mu(x, jump((2,), SVar(x)))), s)
+    assert not alpha_eq(Choice(Mu(x, jump((2,), SVar(x))), Mu(y, jump((2,), SVar(y)))), s)
+    # an inner binder's drawn name must not capture the outer variable
+    inner = Mu(x, Most(Mu(y, Choice(jump((1,), SVar(y)), SVar(x)))))
+    outer = Mu(x, Most(Mu(y, Choice(jump((1,), SVar(x)), SVar(y)))))
+    assert alpha_eq(alpha_rename(inner, {x, y}), inner)
+    assert not alpha_eq(inner, outer)
+    assert not alpha_eq(alpha_rename(inner, set()), outer)

@@ -19,7 +19,6 @@ from ctxembed.strategy import (
     SVar,
     ValidationFailure,
     eval_strategy,
-    free_vars,
     jump,
     mu_iterate,
     nodes,
@@ -211,7 +210,7 @@ def test_environment_agrees_with_substitution_on_generated_fixed_points():
     checked = 0
     for i in range(200):
         binders = [_gen_fixed_point(cfg, i)]
-        binders += [m for m in nodes(gen_strategy(cfg, i)) if isinstance(m, Mu) and not free_vars(m)]
+        binders += [m for m in nodes(gen_strategy(cfg, i)) if isinstance(m, Mu) and not m.free]
         for m in binders:
             for t in (terms[i % len(terms)], terms[(i + 1) % len(terms)]):
                 assert psi(m, t) == psi(mu_iterate(m.var, m.body, depth(t)), t)
