@@ -51,9 +51,8 @@ from ctxembed.strategy import (
     Strat,
     SVar,
     ValidationFailure,
-    children,
     delta,
-    fresh_name,
+    fresh_names,
     simplify as simplify_strategy,
     subst_var,
     validate,
@@ -96,7 +95,7 @@ def phi(s: Strat) -> frozenset:
         seen.add(node)
         if len(seen) > _PHI_CAP:
             raise EngineError("closure exceeded size cap")
-        work.extend(children(node))
+        work.extend(node.kids)
         if isinstance(node, Mu):
             work.append(subst_var(node.body, node.var, node))
     return frozenset(seen)
@@ -185,8 +184,9 @@ class _Engine:
 
     ``number`` numbers every node either input reaches, ``closure[k]`` is phi
     of node ``k`` as a bitset over those numbers, ``unfoldings`` maps each
-    fixed point to its one-step unfolding, and ``taken`` holds every variable
-    name of both inputs plus the binder names made so far.
+    fixed point to its one-step unfolding, ``taken`` holds every variable
+    name of both inputs plus the binder names made so far, and
+    ``binder_names`` draws the next of those.
     """
 
     def __init__(
@@ -216,7 +216,7 @@ class _Engine:
                 k = self.number.get(node)
                 if k is None:
                     k = self.number[node] = len(succ)
-                    kids = children(node)
+                    kids = node.kids
                     if isinstance(node, Mu):
                         self.mus |= 1 << k
                         self.taken.add(node.var)
@@ -228,6 +228,7 @@ class _Engine:
                     succ.append(kids)
                 work.extend(succ[k])
         self.closure = _closures([[self.number[c] for c in kids] for kids in succ])
+        self.binder_names = fresh_names("Z", self.taken)
 
     def measure(self, left: Strat, right: Strat, memory: frozenset) -> Measure:
         """(lambda, delta(left), delta(right)) of a pair.
@@ -294,19 +295,21 @@ class _Engine:
             opened.append([kid[0], list(kid[1]), list(kid[2])])
             focus, place = kid, (at, place)
 
-    def as_conj(self, s: Strat) -> Conj:
+    def entries(self, s: Strat) -> tuple:
+        """The entries of ``s`` read as a map: a Most's body at every child
+        index, an insertion at the root."""
         if isinstance(s, Most):
-            return Conj(tuple((i, s.body) for i in range(1, self.arity_bound + 1)))
-        return s if isinstance(s, Conj) else Conj(((None, s),))
+            return tuple((i, s.body) for i in range(1, self.arity_bound + 1))
+        return s.entries if isinstance(s, Conj) else ((None, s),)
 
     def combine_conjs(self, s: Strat, r: Strat, mem: frozenset) -> Output:
         """Rules 4b, 7b and 7c: ``s`` and ``r`` as maps, entry by entry; an
         index both maps use opens the joint of its two entries."""
-        sc, rc = self.as_conj(s), self.as_conj(r)
-        l_num = [(i, b) for i, b in sc.entries if i is not None]
-        r_num = [(j, b) for j, b in rc.entries if j is not None]
-        l_eps = [b for i, b in sc.entries if i is None]
-        r_eps = [b for j, b in rc.entries if j is None]
+        l_entries, r_entries = self.entries(s), self.entries(r)
+        l_num = [(i, b) for i, b in l_entries if i is not None]
+        r_num = [(j, b) for j, b in r_entries if j is not None]
+        l_eps = [b for i, b in l_entries if i is None]
+        r_eps = [b for j, b in r_entries if j is None]
         lmap, rmap = dict(l_num), dict(r_num)
         shared = [(i, b, rmap[i]) for i, b in l_num if i in rmap]
         rest = [(i, b) for i, b in l_num if i not in rmap] + [(j, b) for j, b in r_num if j not in lmap]
@@ -332,7 +335,7 @@ class _Engine:
         for a, b, z in mem:
             if a == s and b == r:
                 return SVar(z)
-        z = fresh_name("Z", self.taken)
+        z = next(self.binder_names)
         return lambda body: Mu(z, body), ((left, right, mem | {(s, r, z)}, (1,)),)
 
     def step(self, s: Strat, r: Strat, mem: frozenset) -> tuple[str, Output]:

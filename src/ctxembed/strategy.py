@@ -23,12 +23,15 @@ Strategies are interned: building a node whose class and fields equal those
 of a live node returns that node, so structurally equal strategies are one
 object and equality and hashing are identity, O(1) at any depth.  The intern
 table holds weak references only, and each entry is removed when its node
-dies.  Each node stores five facts when it is built, from its fields and its
-children's facts: ``free`` (its free variables), ``star_height`` (the deepest
-binder nesting), ``tree_depth`` (the constructor depth, binders not counted,
-Most counted as a map of jumps), and whether the syntax alone forces success
-on every term (``never_fails``) or failure on every arity-0 term
-(``fails_on_constants``).  Every rewriting pass is one children-first pass.
+dies.  A lookup that finds a live node takes no lock; only an insertion does.
+Each node stores its children (``kids``, left to right) and six facts when it
+is built, from its fields and its children's facts: ``free`` (its free
+variables), ``star_height`` (the deepest binder nesting), ``tree_depth`` (the
+constructor depth, binders not counted, Most counted as a map of jumps),
+``simple`` (no node in it is a redex of ``simplify``, so ``simplify`` returns
+it as it is), and whether the syntax alone forces success on every term
+(``never_fails``) or failure on every arity-0 term (``fails_on_constants``).
+Every rewriting pass is one children-first pass.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
-from operator import is_, itemgetter
+from operator import attrgetter
 from typing import Callable, Iterator, Mapping, Optional, Union
 
 from ctxembed.terms import App, Context, Position, Term, depth, match
@@ -50,7 +53,7 @@ class ValidationFailure(ValueError):
 # Every node is built once: the table maps (class, *fields) to a weak
 # reference to the live node with those fields.  Children are interned before
 # their parent, so a key holds them by identity, and equality and hashing are
-# those of the object.
+# those of the object.  Reads take no lock; _LOCK orders the insertions.
 _TABLE: dict[tuple, "_Ref"] = {}
 _LOCK = threading.Lock()
 _NO_NAMES: frozenset[str] = frozenset()
@@ -64,54 +67,72 @@ class _Ref(weakref.ref):
 
 def _drop(ref: _Ref, table=_TABLE, remove=_remove_dead_weakref) -> None:
     # A node's death removes its entry, unless an equal node built since has
-    # taken the key: only an entry holding a dead reference goes.  No lock,
-    # since a collection can run this inside __new__, which holds _LOCK.
+    # taken the key: only an entry holding a dead reference goes.  No lock:
+    # a collection can run this while a thread holds _LOCK.
     remove(table, ref.key)
 
 
 class _Node:
     """Base of the strategy constructors: interning and the stored facts."""
 
-    __slots__ = ("free", "star_height", "tree_depth", "never_fails", "fails_on_constants", "__weakref__")
+    __slots__ = ("kids", "free", "star_height", "tree_depth", "simple", "never_fails", "fails_on_constants",
+                 "__weakref__")
 
     def __new__(cls, *args):
+        key = (cls, *args)
+        ref = _TABLE.get(key)  # one dict read, atomic: a hit takes no lock
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
         setters = _SETTERS[cls]
         if len(args) != len(setters):
             raise TypeError(f"{cls.__name__} takes {len(setters)} fields, got {len(args)}")
-        key = (cls, *args)
-        with _LOCK:  # a lookup and the insertion after it must not interleave
-            ref = _TABLE.get(key)
-            if ref is not None:
-                node = ref()
-                if node is not None:
-                    return node
-            node = object.__new__(cls)
-            for put, value in zip(setters, args):
-                put(node, value)
-            free, height, tdepth = _NO_NAMES, 0, 0
-            for kid in _CHILDREN[cls](node):
-                if kid.free:
-                    free = free | kid.free if free else kid.free
-                if kid.star_height > height:
-                    height = kid.star_height
-                if kid.tree_depth > tdepth:
-                    tdepth = kid.tree_depth
-            if cls is SVar:
-                free = frozenset((node.name,))
-            elif cls is Mu:
-                free, height = free - {node.var}, height + 1
-            elif cls is Most:
-                tdepth += 2
-            elif cls is not SFail:
-                tdepth += 1
-            _set_free(node, free)
-            _set_height(node, height)
-            _set_depth(node, tdepth)
-            never, foc = _FACTS[cls](node)
-            _set_never(node, never)
-            _set_foc(node, foc)
-            ref = _Ref(node, _drop)
-            ref.key = key
+        node = object.__new__(cls)
+        for put, value in zip(setters, args):
+            put(node, value)
+        first = _FIRST_KID[cls]
+        kids = args[first:] if first is not None else tuple([b for _, b in args[0]])
+        free, height, tdepth, simple = _NO_NAMES, 0, 0, True
+        for kid in kids:
+            if kid.free:
+                free = free | kid.free if free else kid.free
+            if kid.star_height > height:
+                height = kid.star_height
+            if kid.tree_depth > tdepth:
+                tdepth = kid.tree_depth
+            if not kid.simple:
+                simple = False
+        if cls is SVar:
+            free = frozenset((args[0],))
+        elif cls is Mu:
+            if args[0] in free:
+                free = free - {args[0]}
+            elif kids[0].fails_on_constants:
+                simple = False  # simplify drops the unused binder
+            height += 1
+        elif cls is Most:
+            tdepth += 2
+        elif cls is not SFail:
+            tdepth += 1
+            if cls is Choice and FAIL_S in kids:
+                simple = False  # simplify drops the failing alternative
+        _set_kids(node, kids)
+        _set_free(node, free)
+        _set_height(node, height)
+        _set_depth(node, tdepth)
+        _set_simple(node, simple)
+        never, foc = _FACTS[cls](node)
+        _set_never(node, never)
+        _set_foc(node, foc)
+        ref = _Ref(node, _drop)
+        ref.key = key
+        with _LOCK:  # check again and insert, with no other insertion between
+            won = _TABLE.get(key)
+            if won is not None:
+                other = won()
+                if other is not None:
+                    return other  # an equal node another thread built first
             _TABLE[key] = ref
         return node
 
@@ -119,9 +140,11 @@ class _Node:
 # Fields are set through the slots' own descriptors, which skip the frozen
 # dataclass's __setattr__: a constructor's setters, in field order.
 _SETTERS: dict[type, tuple[Callable, ...]] = {}
+_set_kids = _Node.kids.__set__
 _set_free = _Node.free.__set__
 _set_height = _Node.star_height.__set__
 _set_depth = _Node.tree_depth.__set__
+_set_simple = _Node.simple.__set__
 _set_never = _Node.never_fails.__set__
 _set_foc = _Node.fails_on_constants.__set__
 
@@ -195,18 +218,10 @@ def jump(p: Position, body: Strat) -> Strat:
     return out
 
 
-# one entry per constructor: a lookup on the exact type is cheaper than a
-# chain of isinstance tests, and every generic pass goes through here
-_CHILDREN: dict[type, Callable[[Strat], tuple[Strat, ...]]] = {
-    SFail: lambda s: (),
-    SVar: lambda s: (),
-    Ins: lambda s: (),
-    Guard: lambda s: (s.body,),
-    Choice: lambda s: (s.left, s.right),
-    Mu: lambda s: (s.body,),
-    Conj: lambda s: tuple(map(itemgetter(1), s.entries)),
-    Most: lambda s: (s.body,),
-    IfThen: lambda s: (s.cond, s.body),
+# Where a constructor's children start among its fields; a map's children
+# are its entry bodies.  A slice from 0 is the field tuple itself.
+_FIRST_KID: dict[type, Optional[int]] = {
+    SFail: 0, SVar: 1, Ins: 1, Guard: 1, Choice: 0, Mu: 1, Conj: None, Most: 0, IfThen: 0,
 }
 
 # (never_fails, fails_on_constants) of a node.  A binder fails on constants
@@ -243,12 +258,12 @@ FAIL_S = SFail()
 
 def children(s: Strat) -> tuple[Strat, ...]:
     """The immediate sub-strategies of ``s``, left to right."""
-    return _CHILDREN[type(s)](s)
+    return s.kids
 
 
 def rebuild(s: Strat, kids: tuple[Strat, ...]) -> Strat:
     """``s`` with its sub-strategies replaced; ``s`` itself when none changed."""
-    if all(map(is_, kids, children(s))):
+    if kids == s.kids:  # node equality is identity
         return s
     if isinstance(s, Conj):
         return Conj(tuple((i, k) for (i, _), k in zip(s.entries, kids)))
@@ -277,7 +292,7 @@ def _children_first(s: Strat, f: Callable[[Strat, tuple[Strat, ...]], Strat],
                 memo[node] = node
             else:
                 # (node, children) comes back off the stack once they are done
-                kids = _CHILDREN[type(node)](node)
+                kids = node.kids
                 stack.append((node, kids))
                 stack.extend(kids)
     return memo[s]
@@ -295,7 +310,7 @@ def nodes(s: Strat) -> Iterator[Strat]:
             continue
         seen.add(node)
         yield node
-        stack.extend(children(node))
+        stack.extend(node.kids)
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +441,23 @@ def _eval(s: Strat, t: Term, env: Env) -> Optional[Term]:
             raise TypeError(f"not a strategy: {s!r}")
 
 
+def fresh_names(base: str, taken: set[str]) -> Iterator[str]:
+    """Each next name is the first of ``base``, ``base2``, ``base3``, ... not
+    in ``taken``, which is then added to ``taken``.  The scan resumes where
+    the last name was drawn: while ``taken`` only grows, every name before
+    that is still taken."""
+    name, k = base, 2
+    while True:
+        if name not in taken:
+            taken.add(name)
+            yield name
+        name, k = f"{base}{k}", k + 1
+
+
 def fresh_name(base: str, taken: set[str]) -> str:
     """The first of ``base``, ``base2``, ``base3``, ... not in ``taken``, which
     is then added to ``taken``."""
-    name, k = base, 2
-    while name in taken:
-        name, k = f"{base}{k}", k + 1
-    taken.add(name)
-    return name
+    return next(fresh_names(base, taken))
 
 
 def td(s: Strat) -> Strat:
@@ -485,7 +509,7 @@ def _monotone_at(m: Mu) -> bool:
         if isinstance(node, Conj):
             stack.extend(b for i, b in node.entries if i is None)
         elif not isinstance(node, Most):
-            stack.extend(children(node))
+            stack.extend(node.kids)
     return True
 
 
@@ -507,7 +531,7 @@ def _linear_at(m: Mu) -> bool:
         if node in seen:
             return False
         seen.add(node)
-        stack.extend(children(node))
+        stack.extend(node.kids)
     return True
 
 
@@ -566,9 +590,13 @@ def simplify(s: Strat) -> Strat:
     An unused binder only disappears when its body fails on every constant:
     the zero iterate makes every fixed point fail on arity-0 terms, so
     dropping mu from a body that succeeds there would change the semantics.
-    Shared subtrees are simplified once, children before their parent.
+    Shared subtrees are simplified once, children before their parent, and
+    the pass stops at simple nodes, which it would leave as they are.
     """
-    return _children_first(s, _simplify_node)
+    return _children_first(s, _simplify_node, keep=_is_simple)
+
+
+_is_simple = attrgetter("simple")
 
 
 def _simplify_node(node: Strat, kids: tuple[Strat, ...]) -> Strat:

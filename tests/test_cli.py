@@ -4,7 +4,9 @@ Everything drives cli.main directly with argv lists; stdout and stderr are
 captured through capsys.  Exit code 2 paths must leave stdout empty.
 """
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -309,6 +311,20 @@ def test_verify_reports_are_byte_identical_for_equal_seeds(capsys):
     doc = json.loads(out1)
     assert doc == {"suite": "homomorphism", "seed": 0, "cases": 25, "failures": []}
     assert "25 cases" in err1  # timing stays off the report
+
+
+_PINNED = [line.split() for line in
+           (Path(__file__).parent / "data" / "verify_sha256.txt").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("suite,cases,merge,seed,digest", _PINNED,
+                         ids=[f"{p[0]}-{p[2]}" for p in _PINNED])
+def test_verify_reports_match_the_pinned_bytes(capsys, suite, cases, merge, seed, digest):
+    # the bench's verify mix; a change that keeps the results keeps these bytes
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--cases", cases,
+                       "--seed", seed, "--merge", merge)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_seed_changes_the_sample(capsys):

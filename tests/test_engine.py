@@ -28,8 +28,10 @@ from ctxembed.strategy import (
     ValidationFailure,
     _TABLE,
     alpha_eq,
+    bound_vars,
     delta,
     eval_strategy,
+    fresh_name,
     jump,
     validate,
 )
@@ -208,6 +210,18 @@ def test_loop_unify_keeps_vacuous_binder_without_simplification():
 def test_fresh_names_avoid_input_binders():
     got = unify(Mu("Z", jump((1,), SVar("Z"))), Mu("W", jump((1,), SVar("W"))))
     assert got == Mu("Z2", jump((1,), SVar("Z2")))
+
+
+def test_binder_names_are_those_fresh_name_draws_one_by_one():
+    # the engine resumes its scan where the last name was drawn; the inputs
+    # take Z, Z3 and Z5, so the draws skip a gap the cursor must not reuse
+    s = parse_strategy("mu Z. (a ; ins <f([])>) + @1.Z")
+    r = parse_strategy("mu Z3. (mu Z5. (f(?x) ; ins <f([])>) + most(Z5)) + @1.Z3")
+    inputs = bound_vars(s) | bound_vars(r)
+    made = bound_vars(unify(s, r, simplify_output=False)) - inputs
+    taken = set(inputs)
+    assert len(made) > 3
+    assert made == {fresh_name("Z", taken) for _ in made}
 
 
 def test_identical_binder_names_are_separated():

@@ -7,7 +7,10 @@ import time
 from operator import is_
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ctxembed import strategy
 from ctxembed.checks import GenConfig, _gen_fixed_point, gen_strategy, gen_term, terms_up_to_depth
 from ctxembed.strategy import (
     Choice,
@@ -22,6 +25,8 @@ from ctxembed.strategy import (
     SVar,
     ValidationFailure,
     _TABLE,
+    _children_first,
+    _simplify_node,
     alpha_eq,
     alpha_rename,
     bound_vars,
@@ -39,7 +44,8 @@ from ctxembed.strategy import (
     validate,
 )
 from ctxembed.syntax import parse_strategy, parse_term, print_strategy, print_term
-from ctxembed.terms import App, Context, HOLE, Var, depth
+from ctxembed.engine import combine, unify
+from ctxembed.terms import App, Context, HOLE, MergePolicy, Var, depth
 
 
 def a():
@@ -77,37 +83,57 @@ K1, K2, K3 = SVar("K1"), SVar("K2"), SVar("K3")
 
 # one node of each constructor, its children, the node with K1, K2, ... as
 # children (the non-strategy fields, pattern, binder and indices, must
-# survive), and its stored facts never_fails and fails_on_constants
+# survive), and its stored facts never_fails, fails_on_constants and simple
 ONE_OF_EACH = [
-    (FAIL_S, (), FAIL_S, False, True),
-    (SVar("X"), (), SVar("X"), False, False),
-    (Ins(TAU_I), (), Ins(TAU_I), True, False),
-    (Guard(U_DIAG, Ins(TAU_I)), (Ins(TAU_I),), Guard(U_DIAG, K1), False, True),
-    (Choice(Ins(TAU_I), FAIL_S), (Ins(TAU_I), FAIL_S), Choice(K1, K2), True, False),
-    (Mu("X", jump((1,), SVar("X"))), (jump((1,), SVar("X")),), Mu("X", K1), False, True),
+    (FAIL_S, (), FAIL_S, False, True, True),
+    (SVar("X"), (), SVar("X"), False, False, True),
+    (Ins(TAU_I), (), Ins(TAU_I), True, False, True),
+    (Guard(U_DIAG, Ins(TAU_I)), (Ins(TAU_I),), Guard(U_DIAG, K1), False, True, True),
+    (Choice(Ins(TAU_I), FAIL_S), (Ins(TAU_I), FAIL_S), Choice(K1, K2), True, False, False),
+    (Mu("X", jump((1,), SVar("X"))), (jump((1,), SVar("X")),), Mu("X", K1), False, True, True),
     (
         Conj(((2, Ins(TAU_I)), (1, FAIL_S), (None, Ins(TAU_J)))),
         (Ins(TAU_I), FAIL_S, Ins(TAU_J)),
         Conj(((2, K1), (1, K2), (None, K3))),
         True,
         False,
+        True,
     ),
-    (Most(Ins(TAU_J)), (Ins(TAU_J),), Most(K1), False, True),
-    (IfThen(Ins(TAU_I), FAIL_S), (Ins(TAU_I), FAIL_S), IfThen(K1, K2), False, True),
+    (Most(Ins(TAU_J)), (Ins(TAU_J),), Most(K1), False, True, True),
+    (IfThen(Ins(TAU_I), FAIL_S), (Ins(TAU_I), FAIL_S), IfThen(K1, K2), False, True, True),
 ]
 _EACH_ID = [type(row[0]).__name__ for row in ONE_OF_EACH]
 
 
-@pytest.mark.parametrize("s, kids, replaced, _n, _f", ONE_OF_EACH, ids=_EACH_ID)
-def test_children_and_rebuild(s, kids, replaced, _n, _f):
-    assert children(s) == kids
+@pytest.mark.parametrize("s, kids, replaced, _n, _f, _s", ONE_OF_EACH, ids=_EACH_ID)
+def test_children_and_rebuild(s, kids, replaced, _n, _f, _s):
+    assert children(s) is s.kids and s.kids == kids
     assert rebuild(s, children(s)) is s
     assert rebuild(s, (K1, K2, K3)[: len(kids)]) == replaced
 
 
-@pytest.mark.parametrize("s, _k, _r, never_fails, fails_on_constants", ONE_OF_EACH, ids=_EACH_ID)
-def test_stored_facts(s, _k, _r, never_fails, fails_on_constants):
-    assert (s.never_fails, s.fails_on_constants) == (never_fails, fails_on_constants)
+@pytest.mark.parametrize("s, _k, _r, never_fails, fails_on_constants, simple", ONE_OF_EACH, ids=_EACH_ID)
+def test_stored_facts(s, _k, _r, never_fails, fails_on_constants, simple):
+    assert (s.never_fails, s.fails_on_constants, s.simple) == (never_fails, fails_on_constants, simple)
+    assert (_simplify_everywhere(s) is s) == simple
+
+
+def _simplify_everywhere(s: Strat) -> Strat:
+    # simplify's pass without stopping at simple nodes: the reference for
+    # the stored fact, which simplify itself trusts
+    return _children_first(s, _simplify_node)
+
+
+def test_simple_marks_the_redexes_of_simplify_and_their_ancestors():
+    unused = Mu("Y", Most(Ins(TAU_I)))  # an unused binder over a body failing on constants
+    assert not unused.simple and simplify(unused) is unused.body
+    assert Mu("Y", Ins(TAU_I)).simple  # its body succeeds on constants: it stays
+    assert not Choice(FAIL_S, Ins(TAU_I)).simple
+    assert Choice(Ins(TAU_J), Ins(TAU_I)).simple
+    # a node is simple only when all of its children are
+    above = Guard(U_DIAG, Conj(((1, Ins(TAU_I)), (None, Choice(Ins(TAU_J), FAIL_S)))))
+    assert not above.simple and simplify(above) == Guard(U_DIAG, Conj(((1, Ins(TAU_I)), (None, Ins(TAU_J)))))
+    assert simplify(above).simple
 
 
 def test_stored_facts_hold_on_generated_strategies():
@@ -449,6 +475,38 @@ def test_threads_building_equal_strategies_get_one_node():
     assert all(len(out) == 3_000 and all(map(is_, out, built[0])) for out in built)
 
 
+def test_threads_rebuilding_a_node_whose_last_reference_died_get_one_node():
+    # each round lets the last reference die and builds an equal node at
+    # once, so a lookup without the lock meets the death callback's removal
+    failures: list = []
+
+    def work() -> None:
+        for i in range(4_000):
+            name = f"Race{i % 2}"
+            node = Mu(name, Most(SVar(name)))
+            again = Mu(name, Most(SVar(name)))
+            if again is not node or _TABLE[(Mu, name, node.body)]() is not node:
+                failures.append(i)
+            del node, again
+
+    gc.collect()
+    start = len(_TABLE)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    gc.collect()
+    assert len(_TABLE) == start  # every entry went with its node
+
+
 def test_strategy_10000_deep_needs_no_recursion():
     def build():
         return Mu("X", jump((1,) * 10_000, Choice(Ins(Context(HOLE)), SVar("X"))))
@@ -595,6 +653,62 @@ def test_simplify_drops_vacuous_mu_over_guarded_body():
 
 def test_simplify_keeps_used_binder():
     assert simplify(XI) == XI
+
+
+_names = st.sampled_from(["X", "Y"])
+_leaves = st.just(FAIL_S) | st.builds(SVar, _names) | st.sampled_from([Ins(TAU_I), Ins(TAU_J)])
+_strategies = st.recursive(
+    _leaves,
+    lambda kids: (
+        st.builds(Guard, st.sampled_from([U_DIAG, a(), f(Var("x"))]), kids)
+        | st.builds(Choice, kids, kids)
+        | st.builds(Mu, _names, kids)
+        | st.lists(st.tuples(st.sampled_from([1, 2, None]), kids), min_size=1, max_size=3)
+        .map(lambda es: Conj(tuple(es)))
+        | st.builds(Most, kids)
+        | st.builds(IfThen, kids, kids)
+    ),
+    max_leaves=8,
+)
+
+
+def _simple_iff_kept(s: Strat) -> None:
+    for node in nodes(s):
+        assert node.simple == (_simplify_everywhere(node) is node), node
+    assert simplify(s) is _simplify_everywhere(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_strategies)
+def test_simple_holds_exactly_where_simplify_keeps_the_node(s):
+    _simple_iff_kept(s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 3), index=st.integers(0, 10**6), op=st.sampled_from([unify, combine]),
+       policy=st.sampled_from(list(MergePolicy)))
+def test_simple_holds_exactly_where_simplify_keeps_an_engine_output_node(seed, index, op, policy):
+    cfg = GenConfig(seed=seed)
+    _simple_iff_kept(op(gen_strategy(cfg, 2 * index), gen_strategy(cfg, 2 * index + 1),
+                        policy=policy, simplify_output=False))
+
+
+def test_simplify_stops_at_simple_subtrees(monkeypatch):
+    # a simple input piece is never visited: only the choice above it is
+    big = jump((1,) * 10_000, Ins(TAU_I))
+    assert big.simple
+    s = Choice(big, FAIL_S)
+    visited = []
+
+    def spy(node, kids):
+        visited.append(node)
+        return _simplify_node(node, kids)
+
+    monkeypatch.setattr(strategy, "_simplify_node", spy)
+    gc.collect()
+    start = len(_TABLE)
+    assert simplify(s) is big
+    assert visited == [s] and len(_TABLE) == start
 
 
 def test_free_and_bound_vars():
