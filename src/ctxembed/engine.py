@@ -51,7 +51,6 @@ from ctxembed.strategy import (
     Strat,
     SVar,
     ValidationFailure,
-    delta,
     fresh_names,
     simplify as simplify_strategy,
     subst_var,
@@ -246,14 +245,15 @@ class _Engine:
             i, j = number[a], number[b]
             if (mu_l >> i & rest_r >> j | rest_l >> i & mu_r >> j) & 1:
                 lam -= 1
-        return (lam, delta(left), delta(right))
+        return (lam, (left.star_height, left.tree_depth), (right.star_height, right.tree_depth))
 
     def solve(self, s: Strat, r: Strat) -> Strat:
         """The unification of ``s`` and ``r``.  ``waiting`` holds the rules
         whose sub-problems are not all solved: (rule, measure and place of the
-        pair it fired on, the trace's opened children, builder, sub-problems,
-        results so far).  A place is None at the root and (at, the parent's
-        place) below it: one link per pair, not a copy of its path."""
+        pair it fired on, the trace's opened children or None when not
+        tracing, builder, sub-problems, results so far).  A place is None at
+        the root and (at, the parent's place) below it: one link per pair,
+        not a copy of its path."""
         mem: frozenset = frozenset()
         focus, place = self.measure(s, r, mem), None
         waiting: list[tuple] = []
@@ -262,8 +262,9 @@ class _Engine:
                 raise EngineError("reduction exceeded the step cap")
             self.steps += 1
             rule, out = self.step(s, r, mem)
-            opened: list = []
+            opened: Optional[list] = None
             if self.trace is not None:
+                opened = []
                 self.trace.append(
                     {
                         "rule": rule,
@@ -292,7 +293,8 @@ class _Engine:
             kid = self.measure(s, r, mem)
             if not kid < focus:
                 raise EngineError(f"measure failed to decrease at rule {rule}: {focus} -> {kid}")
-            opened.append([kid[0], list(kid[1]), list(kid[2])])
+            if opened is not None:
+                opened.append([kid[0], list(kid[1]), list(kid[2])])
             focus, place = kid, (at, place)
 
     def entries(self, s: Strat) -> tuple:

@@ -31,7 +31,10 @@ constructor depth, binders not counted, Most counted as a map of jumps),
 ``simple`` (no node in it is a redex of ``simplify``, so ``simplify`` returns
 it as it is), and whether the syntax alone forces success on every term
 (``never_fails``) or failure on every arity-0 term (``fails_on_constants``).
-Every rewriting pass is one children-first pass.
+A miss in the intern table builds the node in one step: the builder of its
+class sets the fields and the seven stored values straight from the
+arguments and the children's stored values.  Every rewriting pass is one
+children-first pass, and ``repr`` runs on an explicit stack.
 """
 
 from __future__ import annotations
@@ -85,46 +88,10 @@ class _Node:
             node = ref()
             if node is not None:
                 return node
-        setters = _SETTERS[cls]
-        if len(args) != len(setters):
-            raise TypeError(f"{cls.__name__} takes {len(setters)} fields, got {len(args)}")
-        node = object.__new__(cls)
-        for put, value in zip(setters, args):
-            put(node, value)
-        first = _FIRST_KID[cls]
-        kids = args[first:] if first is not None else tuple([b for _, b in args[0]])
-        free, height, tdepth, simple = _NO_NAMES, 0, 0, True
-        for kid in kids:
-            if kid.free:
-                free = free | kid.free if free else kid.free
-            if kid.star_height > height:
-                height = kid.star_height
-            if kid.tree_depth > tdepth:
-                tdepth = kid.tree_depth
-            if not kid.simple:
-                simple = False
-        if cls is SVar:
-            free = frozenset((args[0],))
-        elif cls is Mu:
-            if args[0] in free:
-                free = free - {args[0]}
-            elif kids[0].fails_on_constants:
-                simple = False  # simplify drops the unused binder
-            height += 1
-        elif cls is Most:
-            tdepth += 2
-        elif cls is not SFail:
-            tdepth += 1
-            if cls is Choice and FAIL_S in kids:
-                simple = False  # simplify drops the failing alternative
-        _set_kids(node, kids)
-        _set_free(node, free)
-        _set_height(node, height)
-        _set_depth(node, tdepth)
-        _set_simple(node, simple)
-        never, foc = _FACTS[cls](node)
-        _set_never(node, never)
-        _set_foc(node, foc)
+        build, arity = _BUILDERS[cls]
+        if len(args) != arity:
+            raise TypeError(f"{cls.__name__} takes {arity} fields, got {len(args)}")
+        node = build(*args)
         ref = _Ref(node, _drop)
         ref.key = key
         with _LOCK:  # check again and insert, with no other insertion between
@@ -136,23 +103,36 @@ class _Node:
             _TABLE[key] = ref
         return node
 
-
-# Fields are set through the slots' own descriptors, which skip the frozen
-# dataclass's __setattr__: a constructor's setters, in field order.
-_SETTERS: dict[type, tuple[Callable, ...]] = {}
-_set_kids = _Node.kids.__set__
-_set_free = _Node.free.__set__
-_set_height = _Node.star_height.__set__
-_set_depth = _Node.tree_depth.__set__
-_set_simple = _Node.simple.__set__
-_set_never = _Node.never_fails.__set__
-_set_foc = _Node.fails_on_constants.__set__
+    def __repr__(self) -> str:
+        # the dataclass's form, Choice(left=..., right=...), on an explicit
+        # stack of nodes and finished text
+        parts: list[str] = []
+        stack: list = [self]
+        while stack:
+            x = stack.pop()
+            if type(x) is str:
+                parts.append(x)
+                continue
+            pieces: list = [f"{type(x).__name__}("]
+            for k, name in enumerate(x.__match_args__):
+                value = getattr(x, name)
+                pieces.append(f", {name}=" if k else f"{name}=")
+                if isinstance(value, _Node):
+                    pieces.append(value)
+                elif type(x) is Conj:
+                    pieces.append("(")
+                    for j, (i, b) in enumerate(value):
+                        pieces += (f", ({i!r}, " if j else f"({i!r}, ", b, ")")
+                    pieces.append(",)" if len(value) == 1 else ")")
+                else:
+                    pieces.append(repr(value))
+            pieces.append(")")
+            stack.extend(reversed(pieces))
+        return "".join(parts)
 
 
 def _node(cls):
-    cls = dataclass(frozen=True, slots=True, eq=False, init=False)(cls)
-    _SETTERS[cls] = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
-    return cls
+    return dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)(cls)
 
 
 @_node
@@ -208,6 +188,7 @@ class IfThen(_Node):
 
 Strat = Union[SFail, SVar, Ins, Guard, Choice, Mu, Conj, Most, IfThen]
 
+
 def jump(p: Position, body: Strat) -> Strat:
     """The derived jump @p.S; the root position gives a single None entry."""
     if not p:
@@ -218,39 +199,138 @@ def jump(p: Position, body: Strat) -> Strat:
     return out
 
 
-# Where a constructor's children start among its fields; a map's children
-# are its entry bodies.  A slice from 0 is the field tuple itself.
-_FIRST_KID: dict[type, Optional[int]] = {
-    SFail: 0, SVar: 1, Ins: 1, Guard: 1, Choice: 0, Mu: 1, Conj: None, Most: 0, IfThen: 0,
-}
+# ---------------------------------------------------------------------------
+# building a node
+# ---------------------------------------------------------------------------
 
-# (never_fails, fails_on_constants) of a node.  A binder fails on constants
-# outright (the zero iterate fails), a compound guard pattern matches no leaf,
-# child entries and Most have no child there, and a free variable is unknown.
-_FACTS: dict[type, Callable[[Strat], tuple[bool, bool]]] = {
-    SFail: lambda s: (False, True),
-    SVar: lambda s: (False, False),
-    Ins: lambda s: (True, False),
-    Guard: lambda s: (False, isinstance(s.pattern, App) and bool(s.pattern.args)
-                      or s.body.fails_on_constants),
-    Choice: lambda s: (s.left.never_fails or s.right.never_fails,
-                       s.left.fails_on_constants and s.right.fails_on_constants),
-    Mu: lambda s: (False, True),
-    Conj: lambda s: _map_facts(s.entries),
-    Most: lambda s: (False, True),
-    IfThen: lambda s: (s.cond.never_fails and s.body.never_fails,
-                       s.cond.fails_on_constants or s.body.fails_on_constants),
-}
+# A miss in the intern table calls its class's builder, which makes the node
+# and sets its fields and stored values from the arguments and the children's
+# stored values.  Slots are set through their own descriptors, which skip the
+# frozen dataclass's __setattr__; a builder takes its fields' setters as
+# defaults, so they are locals.  Constructor depth counts a node one level
+# above its deepest child, a binder none and Most two (a map of jumps).  As
+# for what the syntax forces: a binder fails on constants outright (the zero
+# iterate fails), a compound guard pattern matches no leaf, child entries and
+# Most have no child there, and a free variable is unknown.
+_new = object.__new__
+_set_kids = _Node.kids.__set__
+_set_free = _Node.free.__set__
+_set_height = _Node.star_height.__set__
+_set_depth = _Node.tree_depth.__set__
+_set_simple = _Node.simple.__set__
+_set_never = _Node.never_fails.__set__
+_set_foc = _Node.fails_on_constants.__set__
 
 
+def _stored(cls, kids, free, height, tdepth, simple, never, foc):
+    """A new ``cls`` node with its seven stored values set, fields unset."""
+    node = _new(cls)
+    _set_kids(node, kids)
+    _set_free(node, free)
+    _set_height(node, height)
+    _set_depth(node, tdepth)
+    _set_simple(node, simple)
+    _set_never(node, never)
+    _set_foc(node, foc)
+    return node
 
-def _map_facts(entries: tuple) -> tuple[bool, bool]:
-    # only root entries act on a constant, and a map succeeds when one does
-    never, foc = False, True
-    for i, b in entries:
+
+def _build_fail():
+    return _stored(SFail, (), _NO_NAMES, 0, 0, True, False, True)
+
+
+def _build_var(name, _set=SVar.name.__set__):
+    node = _stored(SVar, (), frozenset((name,)), 0, 0, True, False, False)
+    _set(node, name)
+    return node
+
+
+def _build_ins(ctx, _set=Ins.ctx.__set__):
+    node = _stored(Ins, (), _NO_NAMES, 0, 1, True, True, False)
+    _set(node, ctx)
+    return node
+
+
+def _build_guard(pattern, body, _set_pattern=Guard.pattern.__set__, _set_body=Guard.body.__set__):
+    compound = isinstance(pattern, App) and bool(pattern.args)
+    node = _stored(Guard, (body,), body.free, body.star_height, body.tree_depth + 1, body.simple,
+                   False, compound or body.fails_on_constants)
+    _set_pattern(node, pattern)
+    _set_body(node, body)
+    return node
+
+
+def _build_choice(left, right, _set_left=Choice.left.__set__, _set_right=Choice.right.__set__):
+    lf, rf = left.free, right.free
+    lh, rh = left.star_height, right.star_height
+    ld, rd = left.tree_depth, right.tree_depth
+    # simplify drops a failing alternative
+    simple = left.simple and right.simple and left is not FAIL_S and right is not FAIL_S
+    node = _stored(Choice, (left, right), lf | rf if lf and rf else lf or rf, lh if lh > rh else rh,
+                   (ld if ld > rd else rd) + 1, simple, left.never_fails or right.never_fails,
+                   left.fails_on_constants and right.fails_on_constants)
+    _set_left(node, left)
+    _set_right(node, right)
+    return node
+
+
+def _build_mu(var, body, _set_var=Mu.var.__set__, _set_body=Mu.body.__set__):
+    free = body.free
+    used = var in free
+    # simplify drops an unused binder over a body that fails on constants
+    simple = body.simple and (used or not body.fails_on_constants)
+    node = _stored(Mu, (body,), free - {var} if used else free, body.star_height + 1, body.tree_depth,
+                   simple, False, True)
+    _set_var(node, var)
+    _set_body(node, body)
+    return node
+
+
+def _build_conj(entries, _set=Conj.entries.__set__):
+    free, height, tdepth, simple = _NO_NAMES, 0, 0, True
+    never, foc = False, True  # only root entries act on a constant; a map succeeds when one does
+    for i, kid in entries:
+        if kid.free:
+            free = free | kid.free if free else kid.free
+        if kid.star_height > height:
+            height = kid.star_height
+        if kid.tree_depth > tdepth:
+            tdepth = kid.tree_depth
+        if not kid.simple:
+            simple = False
         if i is None:
-            never, foc = never or b.never_fails, foc and b.fails_on_constants
-    return never, foc
+            never, foc = never or kid.never_fails, foc and kid.fails_on_constants
+    node = _stored(Conj, tuple([b for _, b in entries]), free, height, tdepth + 1, simple, never, foc)
+    _set(node, entries)
+    return node
+
+
+def _build_most(body, _set=Most.body.__set__):
+    node = _stored(Most, (body,), body.free, body.star_height, body.tree_depth + 2, body.simple, False, True)
+    _set(node, body)
+    return node
+
+
+def _build_ifthen(cond, body, _set_cond=IfThen.cond.__set__, _set_body=IfThen.body.__set__):
+    cf, bf = cond.free, body.free
+    ch, bh = cond.star_height, body.star_height
+    cd, bd = cond.tree_depth, body.tree_depth
+    node = _stored(IfThen, (cond, body), cf | bf if cf and bf else cf or bf, ch if ch > bh else bh,
+                   (cd if cd > bd else bd) + 1, cond.simple and body.simple,
+                   cond.never_fails and body.never_fails, cond.fails_on_constants or body.fails_on_constants)
+    _set_cond(node, cond)
+    _set_body(node, body)
+    return node
+
+
+# each class's builder and its number of fields
+_BUILDERS: dict[type, tuple[Callable[..., Strat], int]] = {
+    cls: (build, len(cls.__match_args__)) for cls, build in (
+        (SFail, _build_fail), (SVar, _build_var), (Ins, _build_ins), (Guard, _build_guard),
+        (Choice, _build_choice), (Mu, _build_mu), (Conj, _build_conj), (Most, _build_most),
+        (IfThen, _build_ifthen),
+    )
+}
 
 
 FAIL_S = SFail()

@@ -693,6 +693,122 @@ def test_simple_holds_exactly_where_simplify_keeps_an_engine_output_node(seed, i
                         policy=policy, simplify_output=False))
 
 
+def reference_stored(s: Strat, memo: dict) -> tuple:
+    """The seven values a node stores (kids, free, star_height, tree_depth,
+    simple, never_fails, fails_on_constants), worked out recursively from
+    its fields and from no stored value."""
+    if s in memo:
+        return memo[s]
+    if isinstance(s, Conj):
+        kids = tuple(b for _, b in s.entries)
+    elif isinstance(s, Choice):
+        kids = (s.left, s.right)
+    elif isinstance(s, IfThen):
+        kids = (s.cond, s.body)
+    elif isinstance(s, (Guard, Mu, Most)):
+        kids = (s.body,)
+    else:
+        kids = ()
+    below = [reference_stored(k, memo) for k in kids]
+    free = frozenset().union(*(k[1] for k in below))
+    height = max((k[2] for k in below), default=0)
+    tdepth = max((k[3] for k in below), default=0)
+    simple = all(k[4] for k in below)
+    never = [k[5] for k in below]
+    foc = [k[6] for k in below]
+    if isinstance(s, SVar):
+        free, facts = frozenset({s.name}), (False, False)
+    elif isinstance(s, Ins):
+        tdepth, facts = 1, (True, False)
+    elif isinstance(s, Guard):
+        tdepth += 1
+        facts = (False, isinstance(s.pattern, App) and len(s.pattern.args) > 0 or foc[0])
+    elif isinstance(s, Choice):
+        tdepth += 1
+        simple = simple and FAIL_S not in kids
+        facts = (any(never), all(foc))
+    elif isinstance(s, Mu):
+        height += 1
+        if s.var in free:
+            free -= {s.var}
+        elif foc[0]:
+            simple = False
+        facts = (False, True)
+    elif isinstance(s, Conj):
+        tdepth += 1
+        roots = [k for k, (i, _) in enumerate(s.entries) if i is None]
+        facts = (any(never[k] for k in roots), all(foc[k] for k in roots))
+    elif isinstance(s, Most):
+        tdepth, facts = tdepth + 2, (False, True)
+    elif isinstance(s, IfThen):
+        tdepth += 1
+        facts = (all(never), any(foc))
+    else:
+        facts = (False, True)
+    memo[s] = (kids, free, height, tdepth, simple, *facts)
+    return memo[s]
+
+
+def _stored_as_reference(s: Strat) -> None:
+    memo: dict = {}
+    for node in nodes(s):
+        stored = (node.kids, node.free, node.star_height, node.tree_depth, node.simple,
+                  node.never_fails, node.fails_on_constants)
+        assert stored == reference_stored(node, memo), node
+
+
+@settings(max_examples=300, deadline=None)
+@given(_strategies)
+def test_stored_values_equal_the_recursive_reference(s):
+    _stored_as_reference(s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 3), index=st.integers(0, 10**6), op=st.sampled_from([unify, combine]),
+       policy=st.sampled_from(list(MergePolicy)))
+def test_stored_values_equal_the_recursive_reference_on_engine_outputs(seed, index, op, policy):
+    cfg = GenConfig(seed=seed)
+    _stored_as_reference(op(gen_strategy(cfg, 2 * index), gen_strategy(cfg, 2 * index + 1),
+                            policy=policy, simplify_output=False))
+
+
+def dataclass_repr(x) -> str:
+    """The repr a dataclass generates, written out recursively."""
+    if isinstance(x, tuple):
+        items = [dataclass_repr(item) for item in x]
+        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+    if not isinstance(x, strategy._Node):
+        return repr(x)
+    shown = ", ".join(f"{name}={dataclass_repr(getattr(x, name))}" for name in x.__match_args__)
+    return f"{type(x).__name__}({shown})"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_strategies)
+def test_repr_is_the_dataclass_form(s):
+    assert repr(s) == dataclass_repr(s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 3), index=st.integers(0, 10**6), op=st.sampled_from([unify, combine]),
+       policy=st.sampled_from(list(MergePolicy)))
+def test_repr_is_the_dataclass_form_on_engine_outputs(seed, index, op, policy):
+    cfg = GenConfig(seed=seed)
+    out = op(gen_strategy(cfg, 2 * index), gen_strategy(cfg, 2 * index + 1), policy=policy)
+    assert repr(out) == dataclass_repr(out)
+
+
+def test_repr_reaches_10000_levels():
+    n = 10_000
+    guards = parse_strategy("a ; " * n + "ins <[]>")
+    leaf = "Ins(ctx=Context(body=Hole()))"
+    assert repr(guards) == "Guard(pattern=App(head='a', args=()), body=" * n + leaf + ")" * n
+    jumps = jump((1,) * n, Ins(Context(HOLE)))
+    assert repr(jumps) == "Conj(entries=((1, " * n + leaf + "),))" * n
+    assert repr(Conj(())) == "Conj(entries=())"
+    assert repr(FAIL_S) == "SFail()"
+
+
 def test_simplify_stops_at_simple_subtrees(monkeypatch):
     # a simple input piece is never visited: only the choice above it is
     big = jump((1,) * 10_000, Ins(TAU_I))

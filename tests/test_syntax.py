@@ -21,6 +21,7 @@ from ctxembed.strategy import (
 )
 from ctxembed.syntax import (
     ParseError,
+    _Parser,
     parse_context,
     parse_posce,
     parse_position,
@@ -220,6 +221,12 @@ MALFORMED = [
     ("most X", "expected '(', got 'X'", 5),
     ("@eps", "expected '.', got 'end of input'", 4),
     ("f(a,) ; X", "expected a term, got ')'", 4),
+    # an insertion read before is reused only for the same tokens: joined,
+    # "a b" and "ab" would be one string
+    ("ins <g([],ab)> + ins <g([],a b)>", "expected ')', got 'b'", 29),
+    ("ins <[]> + ins <[]", "expected '>', got 'end of input'", 18),
+    ("ins <[]> + ins <[]>>", "trailing input at '>'", 19),
+    ("ins <a> + ins <a>", "context must contain exactly one hole, found 0", 6),
 ]
 
 
@@ -228,6 +235,22 @@ def test_parse_rejects_malformed():
         with pytest.raises(ParseError) as err:
             parse_strategy(text)
         assert (text, str(err.value), err.value.offset) == (text, message, offset)
+
+
+def test_a_repeated_insertion_is_read_once(monkeypatch):
+    reads = []
+    read = _Parser.context
+
+    def spy(self, i):
+        reads.append(self.toks[i])
+        return read(self, i)
+
+    monkeypatch.setattr(_Parser, "context", spy)
+    s = parse_strategy("ins <f([])> + a ; ins <f([])> + [@1.ins <f([])>, @eps.ins <g([],a)>]")
+    assert reads == ["f", "g"]
+    once = s.left.left
+    assert s.left.right.body is once and s.right.entries[0][1] is once
+    assert once == Ins(Context(f(HOLE)))
 
 
 def test_parse_term_errors_keep_message_and_offset():
