@@ -250,10 +250,10 @@ class _Engine:
     def solve(self, s: Strat, r: Strat) -> Strat:
         """The unification of ``s`` and ``r``.  ``waiting`` holds the rules
         whose sub-problems are not all solved: (rule, measure and place of the
-        pair it fired on, the trace's opened children or None when not
-        tracing, builder, sub-problems, results so far).  A place is None at
-        the root and (at, the parent's place) below it: one link per pair,
-        not a copy of its path."""
+        pair it fired on, the trace's opened children, builder, sub-problems,
+        results so far).  When tracing, a place is None at the root and (at,
+        the parent's place) below it: one link per pair, not a copy of its
+        path.  Without a trace, the place and the opened children stay None."""
         mem: frozenset = frozenset()
         focus, place = self.measure(s, r, mem), None
         waiting: list[tuple] = []
@@ -295,7 +295,8 @@ class _Engine:
                 raise EngineError(f"measure failed to decrease at rule {rule}: {focus} -> {kid}")
             if opened is not None:
                 opened.append([kid[0], list(kid[1]), list(kid[2])])
-            focus, place = kid, (at, place)
+                place = (at, place)
+            focus = kid
 
     def entries(self, s: Strat) -> tuple:
         """The entries of ``s`` read as a map: a Most's body at every child

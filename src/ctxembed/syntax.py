@@ -200,17 +200,10 @@ class _Parser:
         jumps met at the start of a sequence, as the function that wraps a
         body and the number of open strategies below them: each wraps the
         next sequence that ends there.
-
-        ``insertions`` maps the tokens of each insertion read, from ``ins``
-        to ``>``, to its node.  A read never takes a ``>`` before its last
-        token, so the same tokens read again give the same node, and a later
-        insertion with those tokens is skipped.  Only successful reads are
-        kept, so every error is found as if no insertion were kept.
         """
         toks, kinds, expect = self.toks, self.kinds, self.expect
         opened: list[list] = [[_TOP, None, None]]
         prefixes: list[tuple] = []
-        insertions: dict[tuple[str, ...], Ins] = {}
         while True:
             # read prefixes until a sequence is complete or a strategy opens
             value = toks[i]
@@ -252,18 +245,8 @@ class _Parser:
             elif kinds[i] == "uident":
                 node, i = SVar(value), i + 1
             elif value == "ins":
-                try:
-                    end = toks.index(">", i) + 1
-                except ValueError:  # no '>' follows: the read below fails
-                    end = len(toks)
-                key = tuple(toks[i:end])
-                node = insertions.get(key)
-                if node is None:
-                    ctx, i = self.context(expect(i + 1, "<"))
-                    node, i = Ins(ctx), expect(i, ">")
-                    insertions[key] = node
-                else:
-                    i = end
+                ctx, i = self.context(expect(i + 1, "<"))
+                node, i = Ins(ctx), expect(i, ">")
             else:
                 self.fail(i, f"expected a strategy, got {value or 'end of input'!r}")
             # ``node`` is a complete sequence: wrap it in its prefixes, add
