@@ -453,6 +453,16 @@ def check_algebra(cfg: GenConfig) -> dict:
                 _failure(index, name, dict(names(trio), term=print_term(suite[k])), _show(vb[k]), _show(va[k]))
             )
 
+    def pointwise(index, name, trio, vout, v1, v2, expect):
+        # the output fails at a term exactly when ``expect`` holds of the
+        # inputs failing there; the first term where it does not is reported
+        for k, got in enumerate(vout):
+            fails = expect((v1[k] is None, v2[k] is None))
+            if (got is None) != fails:
+                failures.append(_failure(index, name, dict(names(trio), term=print_term(suite[k])),
+                                         "FAIL" if fails else "non-FAIL", _show(got)))
+                return
+
     stream = _progressing_stream(cfg, 3 * cfg.cases)
     for i in range(cfg.cases):
         trio = s1, s2, s3 = stream[3 * i : 3 * i + 3]
@@ -470,30 +480,8 @@ def check_algebra(cfg: GenConfig) -> dict:
 
         v1, v2 = vec(s1), vec(s2)
         vu12, vc12 = vec(u12), vec(c12)
-        for k in range(len(suite)):
-            if (vu12[k] is None) != (v1[k] is None or v2[k] is None):
-                failures.append(
-                    _failure(
-                        i,
-                        "unify-pointwise-failure",
-                        dict(names(trio), term=print_term(suite[k])),
-                        "FAIL" if v1[k] is None or v2[k] is None else "non-FAIL",
-                        _show(vu12[k]),
-                    )
-                )
-                break
-        for k in range(len(suite)):
-            if (vc12[k] is None) != (v1[k] is None and v2[k] is None):
-                failures.append(
-                    _failure(
-                        i,
-                        "combine-pointwise-failure",
-                        dict(names(trio), term=print_term(suite[k])),
-                        "FAIL" if v1[k] is None and v2[k] is None else "non-FAIL",
-                        _show(vc12[k]),
-                    )
-                )
-                break
+        pointwise(i, "unify-pointwise-failure", trio, vu12, v1, v2, any)
+        pointwise(i, "combine-pointwise-failure", trio, vc12, v1, v2, all)
 
         law(i, "unify-neutral-right", trio, vec(uni(s1, neutral)), v1)
         if policy is MergePolicy.NEST:

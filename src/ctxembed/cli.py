@@ -19,6 +19,7 @@ import re
 import sys
 import time
 from dataclasses import fields
+from functools import partial
 from typing import Callable, Optional
 
 from ctxembed.checks import (
@@ -199,14 +200,6 @@ def _unify_like(args: argparse.Namespace, op: Callable) -> int:
     return 0
 
 
-def _cmd_unify(args: argparse.Namespace) -> int:
-    return _unify_like(args, unify)
-
-
-def _cmd_combine(args: argparse.Namespace) -> int:
-    return _unify_like(args, combine)
-
-
 def _cmd_psi(args: argparse.Namespace) -> int:
     t = _parse(parse_term, args.term, "term")
     s = _parse(parse_strategy, args.strategy, "strategy")
@@ -285,8 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_signature(p)
     p.set_defaults(run=_cmd_apply)
 
-    for name, doc in (("unify", "strategy doing the work of both inputs"),
-                      ("combine", "unification with fallback to either input")):
+    for name, op, doc in (("unify", unify, "strategy doing the work of both inputs"),
+                          ("combine", combine, "unification with fallback to either input")):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--left", required=True)
         p.add_argument("--right", required=True)
@@ -294,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trace", action="store_true")
         add_merge(p)
         add_signature(p)
-        p.set_defaults(run=_cmd_unify if name == "unify" else _cmd_combine)
+        p.set_defaults(run=partial(_unify_like, op=op))
 
     p = sub.add_parser("psi", help="translate a strategy at a term")
     p.add_argument("--term", required=True)

@@ -33,8 +33,9 @@ it as it is), and whether the syntax alone forces success on every term
 (``never_fails``) or failure on every arity-0 term (``fails_on_constants``).
 A miss in the intern table builds the node in one step: the builder of its
 class sets the fields and the seven stored values straight from the
-arguments and the children's stored values.  Every rewriting pass is one
-children-first pass, and ``repr`` runs on an explicit stack.
+arguments and the children's stored values.  Every rewriting pass, and the
+JSON encoding, is one children-first pass; ``repr`` is ``terms.fields_repr``,
+on an explicit stack.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Any, Callable, Iterator, Mapping, Optional, Union
 
-from ctxembed.terms import App, Context, Position, Term, depth, match
+from ctxembed.terms import App, Context, Position, Term, depth, fields_repr, match
 
 
 class ValidationFailure(ValueError):
@@ -103,32 +104,7 @@ class _Node:
             _TABLE[key] = ref
         return node
 
-    def __repr__(self) -> str:
-        # the dataclass's form, Choice(left=..., right=...), on an explicit
-        # stack of nodes and finished text
-        parts: list[str] = []
-        stack: list = [self]
-        while stack:
-            x = stack.pop()
-            if type(x) is str:
-                parts.append(x)
-                continue
-            pieces: list = [f"{type(x).__name__}("]
-            for k, name in enumerate(x.__match_args__):
-                value = getattr(x, name)
-                pieces.append(f", {name}=" if k else f"{name}=")
-                if isinstance(value, _Node):
-                    pieces.append(value)
-                elif type(x) is Conj:
-                    pieces.append("(")
-                    for j, (i, b) in enumerate(value):
-                        pieces += (f", ({i!r}, " if j else f"({i!r}, ", b, ")")
-                    pieces.append(",)" if len(value) == 1 else ")")
-                else:
-                    pieces.append(repr(value))
-            pieces.append(")")
-            stack.extend(reversed(pieces))
-        return "".join(parts)
+    __repr__ = fields_repr
 
 
 def _node(cls):
@@ -354,13 +330,13 @@ def rebuild(s: Strat, kids: tuple[Strat, ...]) -> Strat:
     return type(s)(*kids)
 
 
-def _children_first(s: Strat, f: Callable[[Strat, tuple[Strat, ...]], Strat],
-                    keep: Optional[Callable[[Strat], bool]] = None) -> Strat:
-    """``f(node, its rewritten children)`` once per distinct node of ``s``,
-    children before their parent, on an explicit stack; a node ``keep``
-    accepts is its own result, and its children are not visited.  The memo
-    lasts one call."""
-    memo: dict[Strat, Strat] = {}
+def _children_first(s: Strat, f: Callable[[Strat, tuple], Any],
+                    keep: Optional[Callable[[Strat], bool]] = None) -> Any:
+    """``f(node, its children's results)`` once per distinct node of ``s``,
+    children before their parent, on an explicit stack; the result of ``s``
+    comes back.  A node ``keep`` accepts is its own result, and its children
+    are not visited.  The memo lasts one call."""
+    memo: dict[Strat, Any] = {}
     stack: list = [s]
     while stack:
         node = stack.pop()
@@ -534,15 +510,9 @@ def fresh_names(base: str, taken: set[str]) -> Iterator[str]:
         name, k = f"{base}{k}", k + 1
 
 
-def fresh_name(base: str, taken: set[str]) -> str:
-    """The first of ``base``, ``base2``, ``base3``, ... not in ``taken``, which
-    is then added to ``taken``."""
-    return next(fresh_names(base, taken))
-
-
 def td(s: Strat) -> Strat:
     """Top-down driver: try ``s`` here, else at the topmost children it fits."""
-    name = fresh_name("X", set(s.free) | bound_vars(s))
+    name = next(fresh_names("X", set(s.free) | bound_vars(s)))
     return Mu(name, Choice(s, Most(SVar(name))))
 
 
@@ -639,16 +609,6 @@ def validate(s: Strat) -> Validation:
             isinstance(b, Ins) for c in maps for i, b in c.entries if i is None
         ),
     )
-
-
-# ---------------------------------------------------------------------------
-# measures
-# ---------------------------------------------------------------------------
-
-
-def delta(s: Strat) -> tuple[int, int]:
-    """Lexicographic (star height, tree depth)."""
-    return (s.star_height, s.tree_depth)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,12 @@ explicit stacks over the token list; character offsets are worked out only
 for a ParseError.  The printer runs on an explicit stack as well: a strategy
 shared within the printed one is worked out once per setting (see
 ``print_strategy``) and its text copied wherever it occurs again.
+
+The JSON encoding (``to_json``) is a table, ``{"nodes": [...]}``: one row
+per distinct node, written by the children-first pass, so children come
+before their parents and the encoded strategy is the last row.  A row holds
+the node's ``"kind"``, its data (names, and printed contexts and patterns)
+and its children as row indices; a shared node is written once.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from ctxembed.strategy import (
     SFail,
     Strat,
     SVar,
+    _children_first,
     jump,
 )
 from ctxembed.terms import HOLE, App, Context, Hole, Position, Term, Var
@@ -538,27 +545,35 @@ def print_posce(e: PosCE) -> str:
 
 
 def to_json(s: Strat) -> dict:
-    if isinstance(s, SFail):
-        return {"kind": "fail"}
-    if isinstance(s, SVar):
-        return {"kind": "var", "var": s.name}
-    if isinstance(s, Ins):
-        return {"kind": "ins", "ctx": print_context(s.ctx)}
-    if isinstance(s, Guard):
-        return {"kind": "guard", "pattern": print_term(s.pattern), "body": to_json(s.body)}
-    if isinstance(s, Choice):
-        return {"kind": "choice", "left": to_json(s.left), "right": to_json(s.right)}
-    if isinstance(s, Mu):
-        return {"kind": "mu", "var": s.var, "body": to_json(s.body)}
-    if isinstance(s, Conj):
-        return {
-            "kind": "conj",
-            "entries": [
-                {"idx": "eps" if i is None else i, "body": to_json(b)} for i, b in s.entries
-            ],
-        }
-    if isinstance(s, Most):
-        return {"kind": "most", "body": to_json(s.body)}
-    if isinstance(s, IfThen):
-        return {"kind": "ifthen", "cond": to_json(s.cond), "body": to_json(s.body)}
-    raise TypeError(f"not a strategy: {s!r}")
+    """``{"nodes": rows}``: one row per distinct node of ``s``, children
+    before their parent, so ``s`` is the last row.  A row names each child
+    by its row index."""
+    rows: list[dict] = []
+
+    def row(node: Strat, kids: tuple[int, ...]) -> int:
+        cls = type(node)
+        if cls is SFail:
+            out: dict = {"kind": "fail"}
+        elif cls is SVar:
+            out = {"kind": "var", "var": node.name}
+        elif cls is Ins:
+            out = {"kind": "ins", "ctx": print_context(node.ctx)}
+        elif cls is Guard:
+            out = {"kind": "guard", "pattern": print_term(node.pattern), "body": kids[0]}
+        elif cls is Choice:
+            out = {"kind": "choice", "left": kids[0], "right": kids[1]}
+        elif cls is Mu:
+            out = {"kind": "mu", "var": node.var, "body": kids[0]}
+        elif cls is Conj:
+            out = {"kind": "conj", "entries": [
+                {"idx": "eps" if i is None else i, "body": k} for (i, _), k in zip(node.entries, kids)
+            ]}
+        elif cls is Most:
+            out = {"kind": "most", "body": kids[0]}
+        else:
+            out = {"kind": "ifthen", "cond": kids[0], "body": kids[1]}
+        rows.append(out)
+        return len(rows) - 1
+
+    _children_first(s, row)
+    return {"nodes": rows}

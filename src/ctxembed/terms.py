@@ -22,36 +22,47 @@ class SignatureError(ValueError):
     """A symbol occurs with inconsistent arities, or outside the signature."""
 
 
-def cached_hash(cls):
-    """Compute the structural hash once per object instead of per call.
-
-    Nodes are deep and land in caches, sets, and memo tables constantly; the
-    generated dataclass hash re-walks the whole subtree every time.  Classes
-    using this must declare a ``_hash`` field (default None, compare=False).
-    """
-    generated = cls.__hash__
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = generated(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    cls.__hash__ = __hash__
-    return cls
+def fields_repr(obj) -> str:
+    """The dataclass's form, ``Cls(field=value, ...)``, on an explicit stack
+    of values and finished text.  Tuples, and values whose class uses this
+    function as its ``repr``, are opened in place, so nesting costs no frames;
+    anything else is written by ``repr``.  The fields are ``__match_args__``."""
+    parts: list[str] = []
+    stack: list = [obj]
+    while stack:
+        x = stack.pop()
+        cls = type(x)
+        if cls is str:
+            parts.append(x)
+            continue
+        if cls is tuple:
+            names, values = None, x
+            parts.append("(")
+            stack.append(",)" if len(x) == 1 else ")")
+        else:
+            names = cls.__match_args__
+            values = [getattr(x, name) for name in names]
+            parts.append(f"{cls.__name__}(")
+            stack.append(")")
+        # pieces go on the stack last first
+        for k in range(len(values) - 1, -1, -1):
+            v = values[k]
+            stack.append(v if type(v) is tuple or type(v).__repr__ is fields_repr else repr(v))
+            if names:
+                stack.append(f"{names[k]}=")
+            if k:
+                stack.append(", ")
+    return "".join(parts)
 
 
 _HASH_FIELD = dict(default=None, init=False, repr=False, compare=False)
 
 
-@cached_hash
 @dataclass(frozen=True, slots=True)
 class Var:
     """Pattern variable, written ?name."""
 
     name: str
-    _hash: Optional[int] = field(**_HASH_FIELD)
 
 
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
@@ -126,25 +137,7 @@ class App:
             h = self._hash
         return h
 
-    def __repr__(self) -> str:
-        # the dataclass's form, App(head=..., args=(...)), on an explicit stack
-        # of subterms and finished text
-        parts: list[str] = []
-        stack: list = [self]
-        while stack:
-            x = stack.pop()
-            if type(x) is str:
-                parts.append(x)
-                continue
-            args = x.args
-            parts.append(f"App(head={x.head!r}, args=(")
-            stack.append(",))" if len(args) == 1 else "))")
-            for k in range(len(args) - 1, -1, -1):
-                c = args[k]
-                stack.append(c if type(c) is App else repr(c))
-                if k:
-                    stack.append(", ")
-        return "".join(parts)
+    __repr__ = fields_repr
 
 
 _set_head = App.head.__set__
@@ -308,13 +301,11 @@ def _hole_positions(t: CtxTerm) -> list[Position]:
     return found
 
 
-@cached_hash
 @dataclass(frozen=True, slots=True)
 class Context:
     """A term with exactly one hole, at ``hole_position``."""
 
     body: CtxTerm
-    _hash: Optional[int] = field(**_HASH_FIELD)
     hole_position: Position = field(default=EPSILON, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -362,9 +353,9 @@ def merge(left: Context, right: Context, policy: MergePolicy = MergePolicy.NEST)
 # ---------------------------------------------------------------------------
 
 
-def infer_signature(terms: Iterable[CtxTerm], base: Optional[Signature] = None) -> Signature:
+def infer_signature(terms: Iterable[CtxTerm]) -> Signature:
     """Collect symbol arities from ``terms``, rejecting inconsistent use."""
-    sig: Signature = dict(base) if base else {}
+    sig: Signature = {}
     for t in terms:
         # pre-order, left to right: the first conflict met is the one reported
         stack = [t]

@@ -12,7 +12,7 @@ import pytest
 
 from ctxembed import cli
 from ctxembed.syntax import parse_strategy, parse_term, print_strategy
-from ctxembed.engine import unify
+from ctxembed.engine import combine, unify
 from ctxembed.terms import App
 
 
@@ -140,7 +140,23 @@ def test_unify_json_round_trips(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["text"] == "ins <list(list([],j),i)>"
-    assert doc["strategy"] == {"kind": "ins", "ctx": "list(list([],j),i)"}
+    assert doc["strategy"] == {"nodes": [{"kind": "ins", "ctx": "list(list([],j),i)"}]}
+
+
+@pytest.mark.parametrize("command", ["unify", "combine"])
+@pytest.mark.parametrize("text", [
+    "mu X. @" + "1." * 10_000 + "(ins <[]> + X)",
+    "a ; " * 10_000 + "ins <[]>",
+], ids=["spine", "guards"])
+def test_json_reaches_10000_levels(tmp_path, capsys, command, text):
+    path = tmp_path / "deep.strat"
+    path.write_text(text)
+    code, out, err = run(capsys, command, "--left", str(path), "--right", str(path), "--json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    s = parse_strategy(text)
+    assert parse_strategy(doc["text"]) is {"unify": unify, "combine": combine}[command](s, s)
+    assert len(doc["strategy"]["nodes"]) > 10_000
 
 
 def test_unify_left_project_keeps_the_left_context(capsys):

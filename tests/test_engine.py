@@ -29,9 +29,8 @@ from ctxembed.strategy import (
     _TABLE,
     alpha_eq,
     bound_vars,
-    delta,
     eval_strategy,
-    fresh_name,
+    fresh_names,
     jump,
     validate,
 )
@@ -221,7 +220,7 @@ def test_binder_names_are_those_fresh_name_draws_one_by_one():
     made = bound_vars(unify(s, r, simplify_output=False)) - inputs
     taken = set(inputs)
     assert len(made) > 3
-    assert made == {fresh_name("Z", taken) for _ in made}
+    assert made == {next(fresh_names("Z", taken)) for _ in made}
 
 
 def test_identical_binder_names_are_separated():
@@ -584,7 +583,7 @@ def _measure_from_phi(left, right, memory, closures: dict) -> tuple:
         or (a in phi_l and not isinstance(a, SVar) and b in mu_r)
     )
     lam = len(mu_l) * len(phi_r) + len(phi_l) * len(mu_r) - relevant
-    return (lam, delta(left), delta(right))
+    return (lam, (left.star_height, left.tree_depth), (right.star_height, right.tree_depth))
 
 
 def test_table_measure_matches_its_phi_definition(monkeypatch):

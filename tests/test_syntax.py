@@ -548,36 +548,44 @@ def test_round_trip_parse_print(s):
 
 def test_json_shapes():
     s = Conj(((1, Ins(TAU_I)), (None, Guard(U_DIAG, FAIL_S))))
-    got = to_json(s)
-    assert got == {
-        "kind": "conj",
-        "entries": [
-            {"idx": 1, "body": {"kind": "ins", "ctx": "list([],i)"}},
-            {
-                "idx": "eps",
-                "body": {
-                    "kind": "guard",
-                    "pattern": "g(?x,?x)",
-                    "body": {"kind": "fail"},
-                },
-            },
-        ],
-    }
-    assert to_json(Mu("X", SVar("X"))) == {
-        "kind": "mu",
-        "var": "X",
-        "body": {"kind": "var", "var": "X"},
-    }
-    assert to_json(IfThen(FAIL_S, Most(FAIL_S))) == {
-        "kind": "ifthen",
-        "cond": {"kind": "fail"},
-        "body": {"kind": "most", "body": {"kind": "fail"}},
-    }
-    assert to_json(Choice(FAIL_S, FAIL_S)) == {
-        "kind": "choice",
-        "left": {"kind": "fail"},
-        "right": {"kind": "fail"},
-    }
+    assert to_json(s) == {"nodes": [
+        {"kind": "fail"},
+        {"kind": "guard", "pattern": "g(?x,?x)", "body": 0},
+        {"kind": "ins", "ctx": "list([],i)"},
+        {"kind": "conj", "entries": [{"idx": 1, "body": 2}, {"idx": "eps", "body": 1}]},
+    ]}
+    assert to_json(Mu("X", SVar("X"))) == {"nodes": [
+        {"kind": "var", "var": "X"},
+        {"kind": "mu", "var": "X", "body": 0},
+    ]}
+    assert to_json(IfThen(FAIL_S, Most(FAIL_S))) == {"nodes": [
+        {"kind": "fail"},
+        {"kind": "most", "body": 0},
+        {"kind": "ifthen", "cond": 0, "body": 1},
+    ]}
+    assert to_json(Choice(FAIL_S, FAIL_S)) == {"nodes": [
+        {"kind": "fail"},
+        {"kind": "choice", "left": 0, "right": 0},
+    ]}
+
+
+def test_json_writes_a_shared_node_once():
+    # 2^16 paths through the choices, 18 distinct nodes
+    s = Ins(TAU_I)
+    for _ in range(16):
+        s = Choice(s, s)
+    rows = to_json(Guard(U_DIAG, s))["nodes"]
+    assert len(rows) == 18
+    assert rows[0] == {"kind": "ins", "ctx": "list([],i)"}
+    assert rows[1:-1] == [{"kind": "choice", "left": k, "right": k} for k in range(16)]
+    assert rows[-1] == {"kind": "guard", "pattern": "g(?x,?x)", "body": 16}
+
+
+def test_json_encodes_a_10000_deep_guard_chain():
+    n = 10_000
+    rows = to_json(parse_strategy("a ; " * n + "ins <[]>"))["nodes"]
+    assert rows[0] == {"kind": "ins", "ctx": "[]"}
+    assert rows[1:] == [{"kind": "guard", "pattern": "a", "body": k} for k in range(n)]
 
 
 # ---------------------------------------------------------------------------

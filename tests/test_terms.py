@@ -157,6 +157,12 @@ def test_unequal_terms_with_known_hashes_differ():
     assert s == g(a(), b()) and hash(s) == hash(g(a(), b()))
 
 
+def test_var_and_context_hash_as_the_tuple_of_their_compared_fields():
+    assert hash(Var("x")) == hash(("x",))
+    for c in (ctx(list2(HOLE, App("i"))), ctx(HOLE), ctx(g(f(Var("x")), HOLE))):
+        assert hash(c) == hash((c.body,))
+
+
 def test_cached_fields_take_no_part_in_equality_hash_or_repr():
     seen, fresh = g(f(a()), b()), g(f(a()), b())
     depth(seen)
