@@ -14,7 +14,10 @@ contexts at the positions it reaches.  The constructors:
 * ``Conj(entries)`` -- apply sub-strategies at child indices (``None`` = here),
                        skipping failures, failing only when all entries fail
 * ``Most(S)``       -- apply ``S`` at every immediate child where it succeeds
-* ``IfThen(c, b)``  -- run ``b`` when ``c`` would succeed
+* ``IfThen(c, b)``  -- run ``b`` when ``c`` would succeed; ``c`` is run for
+                       success only, so its term is never built
+
+``eval_strategy`` rejects an open strategy before evaluation starts.
 
 ``jump(p, S)`` builds the derived form @p.S as nested single-entry
 conjunctions.
@@ -413,6 +416,9 @@ Env = dict[str, tuple[Strat, "Env", int]]
 def eval_strategy(s: Strat, t: Term) -> Optional[Term]:
     """Run a closed strategy on a term; None is failure.
 
+    An open strategy is rejected before evaluation starts, whichever
+    branches would run: ``ValidationFailure`` names the least free variable.
+
     Fixed points run in an environment: ``Mu(X, S)`` on ``t`` fails when
     depth(t) is 0 and otherwise runs ``S`` with ``X`` bound to ``S``, the
     binder's environment and depth(t) - 1 iterations left.  Reaching ``X``
@@ -420,19 +426,26 @@ def eval_strategy(s: Strat, t: Term) -> Optional[Term]:
     none are left.  The result is that of the substituted iterate
     ``mu_iterate(X, S, depth(t))``, the reference semantics, which is never
     built here.
+
+    The condition of ``IfThen(c, b)`` is run for success only: its term is
+    thrown away, so inside it an insertion fills no context and a map or
+    ``Most`` stops at its first succeeding entry and rebuilds nothing.
     """
-    return _eval(s, t, {})
+    if s.free:
+        raise ValidationFailure(f"cannot evaluate open strategy (free {min(s.free)})")
+    return _eval(s, t, {}, True)
 
 
-def _eval(s: Strat, t: Term, env: Env) -> Optional[Term]:
-    # Tail positions rebind s and env and loop instead of recursing, so an
-    # unfolding costs no Python frame of its own.  Maps and Most run their
-    # entries in this same frame: one frame per term level.  The tests go on
-    # the exact type, most frequent first.
+def _eval(s: Strat, t: Term, env: Env, whole: bool) -> Optional[Term]:
+    # With whole false only success counts: any term stands for it, and t is
+    # returned.  Tail positions rebind s and env and loop instead of
+    # recursing, so an unfolding costs no Python frame of its own.  Maps and
+    # Most run their entries in this same frame: one frame per term level.
+    # The tests go on the exact type, most frequent first.
     while True:
         cls = type(s)
         if cls is Choice:
-            got = _eval(s.left, t, env)
+            got = _eval(s.left, t, env, whole)
             if got is not None:
                 return got
             s = s.right
@@ -445,22 +458,23 @@ def _eval(s: Strat, t: Term, env: Env) -> Optional[Term]:
             out, hit = t, False
             for i, b in s.entries:
                 if i is None:
-                    got = _eval(b, out, env)
+                    got = _eval(b, out, env, whole)
                 elif type(out) is App and 1 <= i <= len(out.args):
-                    got = _eval(b, out.args[i - 1], env)
-                    if got is not None:
+                    got = _eval(b, out.args[i - 1], env, whole)
+                    if got is not None and whole:
                         got = App(out.head, out.args[: i - 1] + (got,) + out.args[i:])
                 else:
                     continue
                 if got is not None:
+                    if not whole:
+                        return t
                     out, hit = got, True
             return out if hit else None
         elif cls is Ins:
-            return s.ctx.fill(t)
+            return s.ctx.fill(t) if whole else t
         elif cls is SVar:
+            # the strategy is closed, so every variable reached is bound
             name = s.name
-            if name not in env:
-                raise ValidationFailure(f"cannot evaluate open strategy (free {name})")
             s, defined, left = env[name]
             if left == 0:
                 return None
@@ -481,14 +495,16 @@ def _eval(s: Strat, t: Term, env: Env) -> Optional[Term]:
                 return None
             body, args, new = s.body, t.args, None
             for k, c in enumerate(args):
-                got = _eval(body, c, env)
+                got = _eval(body, c, env, whole)
                 if got is not None:
+                    if not whole:
+                        return t
                     if new is None:
                         new = list(args)
                     new[k] = got
             return None if new is None else App(t.head, tuple(new))
         elif cls is IfThen:
-            if _eval(s.cond, t, env) is None:
+            if _eval(s.cond, t, env, False) is None:
                 return None
             s = s.body
         elif cls is SFail:

@@ -36,8 +36,13 @@ def psi(s: Strat, t: Term) -> PosCE:
     ``mu_iterate(X, S, depth(t))``.
 
     Every insertion is written once, at its absolute position, into one
-    table, and the table is sorted once at the end.
+    table, and the table is sorted once at the end.  An open strategy is
+    rejected before translation starts: ``ValidationFailure`` names the
+    least free variable.  Unlike ``eval_strategy``, ψ runs an ``IfThen``
+    condition in full, into a table it then drops.
     """
+    if s.free:
+        raise ValidationFailure(f"cannot translate open strategy (free {min(s.free)})")
     out: dict[Position, Context] = {}
     if not _psi(s, t, {}, (), out):
         return FAIL_PCE
@@ -71,9 +76,8 @@ def _psi(s: Strat, t: Term, env: Env, at: Position, out: dict[Position, Context]
             out[at] = s.ctx if old is None else merge(s.ctx, old)
             return True
         elif cls is SVar:
+            # the strategy is closed, so every variable reached is bound
             name = s.name
-            if name not in env:
-                raise ValidationFailure(f"cannot translate open strategy (free {name})")
             s, defined, left = env[name]
             if left == 0:
                 return False

@@ -204,6 +204,16 @@ def test_open_input_is_a_usage_error(capsys, argv):
     assert out == "" and "open" in err
 
 
+@pytest.mark.parametrize("command", ["apply", "psi"])
+@pytest.mark.parametrize("strategy", ["ins <f([])> + X", "if [@1.ins <f([])>, @2.X] then ins <f([])>"],
+                         ids=["choice", "condition"])
+def test_open_input_is_a_usage_error_where_the_variable_is_never_reached(capsys, command, strategy):
+    # on g(a, b) the left branch, or the condition's first map entry, succeeds
+    code, out, err = run(capsys, command, "--term", "g(a, b)", "--strategy", strategy)
+    verb = "evaluate" if command == "apply" else "translate"
+    assert (code, out, err) == (2, "", f"cannot {verb} open strategy (free X)\n")
+
+
 # ---------------------------------------------------------------------------
 # psi / check / unfold
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from ctxembed.strategy import (
 )
 from ctxembed.syntax import parse_strategy, parse_term, print_strategy, print_term
 from ctxembed.engine import combine, unify
-from ctxembed.terms import App, Context, HOLE, MergePolicy, Var, depth
+from ctxembed.terms import DEFAULT_SIGNATURE, App, Context, HOLE, MergePolicy, Var, depth
 
 
 def a():
@@ -404,13 +404,47 @@ def test_eval_open_variable_keeps_its_message():
 
 
 def test_eval_free_variable_is_not_captured_by_an_inner_binder():
-    # substituting the iterate, which holds the free Y, under mu Y would bind
-    # it there; in the environment it stays free
+    # substituting the iterate under mu Y binds some copies of the free Y
+    # there, but its root copy stays free, so the iterate is rejected as the
+    # strategy is: before any branch runs
     s = parse_strategy("mu X. (f(?x) ; Y) + @1.mu Y. X + ins <f([])>")
     t = g(f(a()), b())
-    assert eval_strategy(mu_iterate(s.var, s.body, depth(t)), t) == g(f(f(a())), b())
-    with pytest.raises(ValidationFailure, match=r"^cannot evaluate open strategy \(free Y\)$"):
-        eval_strategy(s, t)
+    for open_ in (s, mu_iterate(s.var, s.body, depth(t))):
+        with pytest.raises(ValidationFailure, match=r"^cannot evaluate open strategy \(free Y\)$"):
+            eval_strategy(open_, t)
+
+
+# on g(a, b) neither free X is ever reached: the left branch succeeds, and the
+# condition succeeds at its first map entry
+OPEN_WITH_X_UNREACHED = ["ins <f([])> + X", "if [@1.ins <f([])>, @2.X] then ins <f([])>"]
+
+
+@pytest.mark.parametrize("text", OPEN_WITH_X_UNREACHED)
+def test_eval_rejects_an_open_strategy_before_any_branch_runs(text):
+    with pytest.raises(ValidationFailure, match=r"^cannot evaluate open strategy \(free X\)$"):
+        eval_strategy(parse_strategy(text), g(a(), b()))
+
+
+@pytest.mark.parametrize("text", [
+    "ins <[]>", "[@1.ins <[]>]", "[@1.fail, @eps.ins <[]>]", "[@2.ins <[]>, @1.ins <[]>]",
+    "most(ins <[]>)", "g(?x, ?y) ; ins <[]>", "fail + ins <[]>", "mu X. ins <[]> + @1.X",
+    "if ins <[]> then ins <[]>", "most(mu X. @2.X + [@1.ins <[]>])",
+])
+def test_a_condition_fills_no_context(monkeypatch, text):
+    # only the body's insertion fills its context; the condition's term is
+    # thrown away, so the condition fills none, at any depth inside it
+    filled = []
+
+    def spy(self, t):
+        filled.append(self)
+        return fill(self, t)
+
+    fill = Context.fill
+    monkeypatch.setattr(Context, "fill", spy)
+    body = Ins(TAU_J)
+    t = g(f(a()), g(a(), b()))
+    assert eval_strategy(IfThen(parse_strategy(text), body), t) == list2(t, App("j"))
+    assert filled == [TAU_J]
 
 
 def test_equal_strategies_are_one_interned_node():
@@ -669,6 +703,37 @@ _strategies = st.recursive(
     ),
     max_leaves=8,
 )
+
+
+_GROUND = terms_up_to_depth(DEFAULT_SIGNATURE, 2)
+
+
+def _succeeds_exactly_when_evaluation_does(s: Strat) -> None:
+    for t in _GROUND:
+        assert (strategy._eval(s, t, {}, False) is None) == (eval_strategy(s, t) is None), (s, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_strategies)
+def test_running_for_success_only_agrees_with_evaluation(s):
+    # binders over X and Y close every generated strategy
+    _succeeds_exactly_when_evaluation_does(Mu("X", Mu("Y", s)) if s.free else s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 3), index=st.integers(0, 10**6), op=st.sampled_from([unify, combine]),
+       policy=st.sampled_from(list(MergePolicy)))
+def test_running_for_success_only_agrees_with_evaluation_on_engine_outputs(seed, index, op, policy):
+    cfg = GenConfig(seed=seed)
+    _succeeds_exactly_when_evaluation_does(
+        op(gen_strategy(cfg, 2 * index), gen_strategy(cfg, 2 * index + 1), policy=policy, simplify_output=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_strategies.filter(lambda s: s.free))
+def test_every_open_strategy_is_rejected(s):
+    with pytest.raises(ValidationFailure, match=rf"^cannot evaluate open strategy \(free {min(s.free)}\)$"):
+        eval_strategy(s, a())
 
 
 def _simple_iff_kept(s: Strat) -> None:

@@ -234,13 +234,22 @@ def test_open_variable_keeps_its_message():
 
 
 def test_free_variable_is_not_captured_by_an_inner_binder():
-    # substituting the iterate, which holds the free Y, under mu Y would bind
-    # it there; in the environment it stays free
+    # substituting the iterate under mu Y binds some copies of the free Y
+    # there, but its root copy stays free, so the iterate is rejected as the
+    # strategy is: before any branch runs
     s = parse_strategy("mu X. (f(?x) ; Y) + @1.mu Y. X + ins <f([])>")
     t = g(f(a()), b())
-    assert psi(mu_iterate(s.var, s.body, depth(t)), t) == PosCE((((1,), SIGMA),))
-    with pytest.raises(ValidationFailure, match=r"^cannot translate open strategy \(free Y\)$"):
-        psi(s, t)
+    for open_ in (s, mu_iterate(s.var, s.body, depth(t))):
+        with pytest.raises(ValidationFailure, match=r"^cannot translate open strategy \(free Y\)$"):
+            psi(open_, t)
+
+
+# on g(a, b) neither free X is ever reached: the left branch succeeds, and the
+# condition succeeds at its first map entry
+@pytest.mark.parametrize("text", ["ins <f([])> + X", "if [@1.ins <f([])>, @2.X] then ins <f([])>"])
+def test_open_strategy_is_rejected_before_any_branch_runs(text):
+    with pytest.raises(ValidationFailure, match=r"^cannot translate open strategy \(free X\)$"):
+        psi(parse_strategy(text), g(a(), b()))
 
 
 # ---------------------------------------------------------------------------
@@ -363,3 +372,14 @@ def _flat():
 @given(_flat(), _gterms)
 def test_translation_agrees_on_generated_cases(s, t):
     assert apply_pos_ce(psi(s, t), t) == eval_strategy(s, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_flat(), st.sampled_from(["X", "Y"]), st.integers(0, 3), _gterms)
+def test_every_open_strategy_is_rejected(s, name, where, t):
+    # the free variable sits in a branch, a condition or a body that may
+    # never run on t
+    var = SVar(name)
+    s = (Choice(s, var), Choice(var, s), IfThen(Conj(((1, s), (2, var))), s), IfThen(s, var))[where]
+    with pytest.raises(ValidationFailure, match=rf"^cannot translate open strategy \(free {name}\)$"):
+        psi(s, t)
