@@ -116,7 +116,7 @@ def _read_signature(path: str) -> Signature:
         if not line:
             continue
         name, sep, arity = line.partition("/")
-        if not sep or not _SYMBOL.match(name) or not arity.isdigit():
+        if not sep or not _SYMBOL.match(name) or not arity.isdecimal():
             raise _Diag(f"{source}:{lineno}: expected name/arity, got {line!r}")
         if name in sig and sig[name] != int(arity):
             raise _Diag(f"{source}:{lineno}: symbol {name!r} declared twice")
@@ -154,7 +154,7 @@ def _parse_map(spec: str) -> dict[str, int]:
     counts: dict[str, int] = {}
     for part in spec.split(","):
         name, sep, value = part.strip().partition("=")
-        if not sep or not name or not value.isdigit():
+        if not sep or not name or not value.isdecimal():
             raise _Diag(f"--map: expected NAME=COUNT, got {part.strip()!r}")
         counts[name] = int(value)
     return counts

@@ -85,19 +85,29 @@ def phi(s: Strat) -> frozenset:
     Fixed points contribute both their body and their one-step unfolding;
     the result is finite because unfolding only ever reintroduces ``s``.
     """
-    seen: set = set()
+    return frozenset(_reach(s, {}))
+
+
+def _reach(s: Strat, unfoldings: dict) -> dict:
+    """phi(s) as the keys of a dict, in the order the walk meets them; the
+    unfolding of each fixed point met is kept in ``unfoldings``, and one
+    already there is reused."""
+    seen: dict = {}
     work = [s]
     while work:
         node = work.pop()
         if node in seen:
             continue
-        seen.add(node)
+        seen[node] = None
         if len(seen) > _PHI_CAP:
             raise EngineError("closure exceeded size cap")
         work.extend(node.kids)
         if isinstance(node, Mu):
-            work.append(subst_var(node.body, node.var, node))
-    return frozenset(seen)
+            unfolding = unfoldings.get(node)
+            if unfolding is None:
+                unfolding = unfoldings[node] = subst_var(node.body, node.var, node)
+            work.append(unfolding)
+    return seen
 
 
 def _closures(succ: list[list[int]]) -> list[int]:
@@ -202,30 +212,19 @@ class _Engine:
         self.mus = self.svars = 0  # bitsets of the fixed points and of the variables
         succ: list[tuple[Strat, ...]] = []
         for side in (left, right):
-            # the walk of phi, with the size cap on each side's closure
-            seen: set = set()
-            work = [side]
-            while work:
-                node = work.pop()
-                if node in seen:
+            for node in _reach(side, self.unfoldings):
+                if node in self.number:
                     continue
-                seen.add(node)
-                if len(seen) > _PHI_CAP:
-                    raise EngineError("closure exceeded size cap")
-                k = self.number.get(node)
-                if k is None:
-                    k = self.number[node] = len(succ)
-                    kids = node.kids
-                    if isinstance(node, Mu):
-                        self.mus |= 1 << k
-                        self.taken.add(node.var)
-                        unfolding = self.unfoldings[node] = subst_var(node.body, node.var, node)
-                        kids += (unfolding,)
-                    elif isinstance(node, SVar):
-                        self.svars |= 1 << k
-                        self.taken.add(node.name)
-                    succ.append(kids)
-                work.extend(succ[k])
+                k = self.number[node] = len(succ)
+                kids = node.kids
+                if isinstance(node, Mu):
+                    self.mus |= 1 << k
+                    self.taken.add(node.var)
+                    kids += (self.unfoldings[node],)
+                elif isinstance(node, SVar):
+                    self.svars |= 1 << k
+                    self.taken.add(node.name)
+                succ.append(kids)
         self.closure = _closures([[self.number[c] for c in kids] for kids in succ])
         self.binder_names = fresh_names("Z", self.taken)
 

@@ -22,11 +22,12 @@ contexts at the positions it reaches.  The constructors:
 ``jump(p, S)`` builds the derived form @p.S as nested single-entry
 conjunctions.
 
-Strategies are interned: building a node whose class and fields equal those
-of a live node returns that node, so structurally equal strategies are one
-object and equality and hashing are identity, O(1) at any depth.  The intern
-table holds weak references only, and each entry is removed when its node
-dies.  A lookup that finds a live node takes no lock; only an insertion does.
+Strategies are interned by the mechanism that interns terms
+(``ctxembed.terms``): one weak table keyed by (class, *fields), whose entries
+go when their nodes die, a lookup without a lock and an insertion under one.
+Building a node whose class and fields equal those of a live node returns
+that node, so structurally equal strategies are one object and equality and
+hashing are identity, O(1) at any depth.
 Each node stores its children (``kids``, left to right) and six facts when it
 is built, from its fields and its children's facts: ``free`` (its free
 variables), ``star_height`` (the deepest binder nesting), ``tree_depth`` (the
@@ -43,40 +44,18 @@ on an explicit stack.
 
 from __future__ import annotations
 
-import threading
-import weakref
-from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, Iterator, Mapping, Optional, Union
 
-from ctxembed.terms import App, Context, Position, Term, depth, fields_repr, match
+from ctxembed.terms import _TABLE, App, Context, Position, Term, _insert, depth, fields_repr, match
 
 
 class ValidationFailure(ValueError):
     """A strategy does not satisfy a required structural property."""
 
 
-# Every node is built once: the table maps (class, *fields) to a weak
-# reference to the live node with those fields.  Children are interned before
-# their parent, so a key holds them by identity, and equality and hashing are
-# those of the object.  Reads take no lock; _LOCK orders the insertions.
-_TABLE: dict[tuple, "_Ref"] = {}
-_LOCK = threading.Lock()
 _NO_NAMES: frozenset[str] = frozenset()
-
-
-class _Ref(weakref.ref):
-    """A table entry: a weak reference that knows its key."""
-
-    __slots__ = ("key",)
-
-
-def _drop(ref: _Ref, table=_TABLE, remove=_remove_dead_weakref) -> None:
-    # A node's death removes its entry, unless an equal node built since has
-    # taken the key: only an entry holding a dead reference goes.  No lock:
-    # a collection can run this while a thread holds _LOCK.
-    remove(table, ref.key)
 
 
 class _Node:
@@ -86,6 +65,7 @@ class _Node:
                  "__weakref__")
 
     def __new__(cls, *args):
+        # interned in the table of ``ctxembed.terms`` under (class, *fields)
         key = (cls, *args)
         ref = _TABLE.get(key)  # one dict read, atomic: a hit takes no lock
         if ref is not None:
@@ -95,17 +75,7 @@ class _Node:
         build, arity = _BUILDERS[cls]
         if len(args) != arity:
             raise TypeError(f"{cls.__name__} takes {arity} fields, got {len(args)}")
-        node = build(*args)
-        ref = _Ref(node, _drop)
-        ref.key = key
-        with _LOCK:  # check again and insert, with no other insertion between
-            won = _TABLE.get(key)
-            if won is not None:
-                other = won()
-                if other is not None:
-                    return other  # an equal node another thread built first
-            _TABLE[key] = ref
-        return node
+        return _insert(key, build(*args))
 
     __repr__ = fields_repr
 

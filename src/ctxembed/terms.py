@@ -5,11 +5,19 @@ pattern variables.  Positions are tuples of 1-based child indices; the empty
 tuple is the root.  A context is a term with exactly one hole; filling the
 hole embeds a term, and merging two contexts nests the right one inside the
 left one's hole.
+
+Terms are hash-consed: equal terms are one object, so equality is identity,
+and each App stores its hash and depth when it is built.  The intern table,
+its weak entries and its locked insertion serve the strategy nodes of
+``ctxembed.strategy`` as well.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
@@ -55,7 +63,52 @@ def fields_repr(obj) -> str:
     return "".join(parts)
 
 
-_HASH_FIELD = dict(default=None, init=False, repr=False, compare=False)
+# ---------------------------------------------------------------------------
+# interning
+# ---------------------------------------------------------------------------
+
+# Terms and strategy nodes are hash-consed (Filliâtre & Conchon, "Type-safe
+# modular hash-consing", 2006): the table maps a key to a weak reference to
+# the one live value with that key.  Child terms and nodes are interned
+# before their parent, so a key holds them by identity (variables and holes
+# compare by value), and equality is that of the object.  A constructor reads
+# the table itself, without a lock; only ``_insert``, on a miss, takes _LOCK.
+_TABLE: dict[tuple, "_Ref"] = {}
+_LOCK = threading.Lock()
+
+
+class _Ref(weakref.ref):
+    """A table entry: a weak reference that knows its key."""
+
+    __slots__ = ("key",)
+
+
+def _drop(ref: _Ref, table=_TABLE, remove=_remove_dead_weakref) -> None:
+    # A value's death removes its entry, unless an equal value built since has
+    # taken the key: only an entry holding a dead reference goes.  No lock:
+    # a collection can run this while a thread holds _LOCK.
+    remove(table, ref.key)
+
+
+def _insert(key: tuple, value):
+    """Enter ``value`` under ``key`` after a lookup missed, and return the
+    live value for ``key``: an equal one another thread entered first, or
+    ``value``."""
+    ref = _Ref(value, _drop)
+    ref.key = key
+    with _LOCK:  # check again and insert, with no other insertion between
+        won = _TABLE.setdefault(key, ref)
+        if won is not ref:
+            other = won()
+            if other is not None:
+                return other
+            _TABLE[key] = ref  # in place of a dead entry whose callback has not run
+    return value
+
+
+# ---------------------------------------------------------------------------
+# terms
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,85 +118,61 @@ class Var:
     name: str
 
 
+class _Stored:
+    """Base of App: its stored hash and depth, and the slot for the intern
+    table's weak reference."""
+
+    __slots__ = ("_hash", "_depth", "__weakref__")
+
+
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
-class App:
+class App(_Stored):
     """Application of a symbol to child terms; constants have no children.
 
-    Equality and hashing are structural and run on explicit stacks, so terms
-    of any depth compare and hash.  The hash is that of ``(head, args)``,
-    computed once per node and kept on it.
+    Terms are interned: building an App whose head and children equal those
+    of a live one returns that one, so equality is identity.  The hash, that
+    of ``(head, args)``, and the depth are stored when the node is built,
+    from its children's stored values.
     """
 
     head: str
     args: tuple["CtxTerm", ...] = ()
-    _hash: Optional[int] = field(**_HASH_FIELD)
-    _depth: Optional[int] = field(**_HASH_FIELD)
 
-    def __init__(self, head: str, args: tuple["CtxTerm", ...] = ()) -> None:
+    def __new__(cls, head: str, args: tuple["CtxTerm", ...] = ()) -> "App":
+        key = (head, args)
+        ref = _TABLE.get(key)  # one dict read, atomic: a hit takes no lock
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
         # the slots' own descriptors skip the frozen class's __setattr__
-        _set_head(self, head)
-        _set_args(self, args)
-        _set_hash(self, None)
-        _set_depth(self, None)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not App:
-            return NotImplemented
-        x, y, stack = self, other, []
-        while True:
-            if x is not y:
-                hx, hy = x._hash, y._hash
-                if (
-                    x.head != y.head
-                    or len(x.args) != len(y.args)
-                    or (hx is not None and hy is not None and hx != hy)
-                ):
-                    return False
-                for cx, cy in zip(x.args, y.args):
-                    if cx is cy:
-                        continue
-                    if type(cx) is App and type(cy) is App:
-                        # two constants are settled here, without a stack entry
-                        if cx.args or cy.args:
-                            stack.append((cx, cy))
-                        elif cx.head != cy.head:
-                            return False
-                    elif cx != cy:
-                        return False
-            if not stack:
-                return True
-            x, y = stack.pop()
+        node = _new(cls)
+        _set_head(node, head)
+        _set_args(node, args)
+        _set_hash(node, hash(key))
+        d = 0
+        for c in args:
+            cd = c._depth + 1 if type(c) is App else 1
+            if cd > d:
+                d = cd
+        _set_depth(node, d)
+        return _insert(key, node)
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            # children first: a node is hashed once every App child has its
-            # hash, so hashing (head, args) reads them without recursing;
-            # constants are settled in place
-            stack = [self]
-            while stack:
-                node = stack[-1]
-                ready = True
-                for c in node.args:
-                    if type(c) is App and c._hash is None:
-                        if c.args:
-                            ready = False
-                            stack.append(c)
-                        else:
-                            _set_hash(c, hash((c.head, c.args)))
-                if ready:
-                    stack.pop()
-                    _set_hash(node, hash((node.head, node.args)))
-            h = self._hash
-        return h
+        return self._hash
+
+    def __reduce__(self):
+        # a copy or an unpickled term is built again, so it is the interned one
+        return App, (self.head, self.args)
 
     __repr__ = fields_repr
 
 
+_new = object.__new__
 _set_head = App.head.__set__
 _set_args = App.args.__set__
-_set_hash = App._hash.__set__
-_set_depth = App._depth.__set__
+_set_hash = _Stored._hash.__set__
+_set_depth = _Stored._depth.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,37 +241,8 @@ def replace(t: CtxTerm, p: Position, new: CtxTerm) -> CtxTerm:
 
 def depth(t: CtxTerm) -> int:
     """Depth of a term: 0 for variables and constants, 1+max over children.
-
-    Computed once per node and kept on it, since every fixed point asks for
-    the depth of the subterm it starts on.
-    """
-    if type(t) is not App:
-        return 0
-    d = t._depth
-    if d is None:
-        # children first, as in App.__hash__; constants are settled in place
-        stack = [t]
-        while stack:
-            node = stack[-1]
-            d, ready = 0, True
-            for c in node.args:
-                if type(c) is App:
-                    cd = c._depth
-                    if cd is None:
-                        if c.args:
-                            ready = False
-                            stack.append(c)
-                            continue
-                        cd = 0
-                    if cd >= d:
-                        d = cd + 1
-                elif d == 0:
-                    d = 1
-            if ready:
-                stack.pop()
-                _set_depth(node, d)
-        d = t._depth
-    return d
+    Stored on each App when it is built."""
+    return t._depth if type(t) is App else 0
 
 
 # ---------------------------------------------------------------------------

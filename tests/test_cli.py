@@ -116,6 +116,19 @@ def test_malformed_signature_file(tmp_path, capsys):
     assert out == "" and err.startswith(f"{sigfile}:2:")
 
 
+@pytest.mark.parametrize("command", [
+    ["apply", "--term", "a", "--strategy", "fail"],
+    ["verify", "--suite", "algebra", "--cases", "1"],
+], ids=["apply", "verify"])
+def test_signature_arity_must_be_decimal_digits(tmp_path, capsys, command):
+    # "²" is a digit to str.isdigit, but int() rejects it
+    sigfile = tmp_path / "sig"
+    sigfile.write_text("a/0\nf/\u00b2\n")
+    code, out, err = run(capsys, *command, "--signature", str(sigfile))
+    assert code == 2
+    assert out == "" and err.startswith(f"{sigfile}:2:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # unify / combine
 # ---------------------------------------------------------------------------
@@ -306,6 +319,14 @@ def test_unfold_map_must_cover_all_binders(capsys):
     )
     assert code == 2
     assert out == "" and "no count for binder" in err
+
+
+def test_unfold_map_counts_must_be_decimal_digits(capsys):
+    code, out, err = run(
+        capsys, "unfold", "--strategy", "mu X. a ; ins <[]> + @1.X", "--map", "X=\u00b2"
+    )
+    assert code == 2
+    assert out == "" and "expected NAME=COUNT" in err and err.count("\n") == 1
 
 
 def test_unfold_rejects_negative_counts(capsys):

@@ -4,6 +4,7 @@ import gc
 import sys
 import threading
 import time
+from collections import namedtuple
 from operator import is_
 
 import pytest
@@ -447,52 +448,50 @@ def test_a_condition_fills_no_context(monkeypatch, text):
     assert filled == [TAU_J]
 
 
-def test_equal_strategies_are_one_interned_node():
-    text = "mu X. (a ; ins <f([])>) + @1.X"
-    assert parse_strategy(text) is parse_strategy(text)
-    assert Ins(Context(f(HOLE))) is Ins(Context(f(HOLE)))
+# Strategy nodes and terms share one intern table; each check below runs on
+# both.  A builder makes a value from a name, distinct names giving distinct
+# values; every new value adds ``entries`` table entries, its own under ``key``.
+Builder = namedtuple("Builder", "make entries key")
+STRATEGIES = Builder(lambda name: Mu(name, Most(SVar(name))), 3, lambda s: (Mu, s.var, s.body))
+TERMS = Builder(lambda name: g(App(name), f(App(name))), 3, lambda t: (t.head, t.args))
 
 
-def test_intern_table_drops_dead_nodes():
+def _equal_values_are_one_object(build: Builder) -> None:
+    one = build.make("Same")
+    assert build.make("Same") is one and build.make("Other") is not one
+    assert _TABLE[build.key(one)]() is one
+
+
+def _table_drops_dead_entries(build: Builder) -> None:
     gc.collect()
     start = len(_TABLE)
-    built = [Mu(f"Fresh{i}", SVar(f"Fresh{i}")) for i in range(10_000)]
-    assert len(_TABLE) == start + 20_000
+    built = [build.make(f"Fresh{i}") for i in range(10_000)]
+    assert len(_TABLE) == start + 10_000 * build.entries
     del built
     assert len(_TABLE) == start
 
 
-def test_stale_death_callback_keeps_the_live_entry():
-    text = "mu Q. (a ; ins <f([])>) + @1.Q"
-    node = parse_strategy(text)
-    stale = next(ref for ref in _TABLE.values() if ref() is node)
+def _stale_death_callback_keeps_the_live_entry(build: Builder) -> None:
+    value = build.make("Stale")
+    key = build.key(value)
+    stale = _TABLE[key]
     callback = stale.__callback__  # cleared once it has run
-    del node
+    del value
     gc.collect()
     assert stale() is None
-    live = parse_strategy(text)
+    live = build.make("Stale")
     # a death callback that runs late must not remove the entry of the equal
-    # node built since
+    # value built since
     callback(stale)
-    assert parse_strategy(text) is live
-    assert any(ref() is live for ref in _TABLE.values())
+    assert build.make("Stale") is live
+    assert _TABLE[key]() is live
 
 
-def test_constructor_rejects_wrong_arity():
-    gc.collect()
-    start = len(_TABLE)
-    with pytest.raises(TypeError, match=r"^Choice takes 2 fields, got 1$"):
-        Choice(FAIL_S)
-    with pytest.raises(TypeError, match=r"^Choice takes 2 fields, got 3$"):
-        Choice(FAIL_S, FAIL_S, FAIL_S)
-    assert len(_TABLE) == start
-
-
-def test_threads_building_equal_strategies_get_one_node():
+def _threads_building_equal_values_get_one_object(build: Builder) -> None:
     built: list[list] = [[] for _ in range(4)]
 
     def work(out: list) -> None:
-        out.extend(Mu(f"Shared{i}", Most(SVar(f"Shared{i}"))) for i in range(3_000))
+        out.extend(build.make(f"Shared{i}") for i in range(3_000))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -508,19 +507,18 @@ def test_threads_building_equal_strategies_get_one_node():
     assert all(len(out) == 3_000 and all(map(is_, out, built[0])) for out in built)
 
 
-def test_threads_rebuilding_a_node_whose_last_reference_died_get_one_node():
-    # each round lets the last reference die and builds an equal node at
+def _threads_rebuilding_a_dead_value_get_one_object(build: Builder) -> None:
+    # each round lets the last reference die and builds an equal value at
     # once, so a lookup without the lock meets the death callback's removal
     failures: list = []
 
     def work() -> None:
         for i in range(4_000):
-            name = f"Race{i % 2}"
-            node = Mu(name, Most(SVar(name)))
-            again = Mu(name, Most(SVar(name)))
-            if again is not node or _TABLE[(Mu, name, node.body)]() is not node:
+            value = build.make(f"Race{i % 2}")
+            again = build.make(f"Race{i % 2}")
+            if again is not value or _TABLE[build.key(value)]() is not value:
                 failures.append(i)
-            del node, again
+            del value, again
 
     gc.collect()
     start = len(_TABLE)
@@ -537,7 +535,60 @@ def test_threads_rebuilding_a_node_whose_last_reference_died_get_one_node():
     assert not any(t.is_alive() for t in threads)
     assert failures == []
     gc.collect()
-    assert len(_TABLE) == start  # every entry went with its node
+    assert len(_TABLE) == start  # every entry went with its value
+
+
+def test_equal_strategies_are_one_interned_node():
+    _equal_values_are_one_object(STRATEGIES)
+    text = "mu X. (a ; ins <f([])>) + @1.X"
+    assert parse_strategy(text) is parse_strategy(text)
+    assert Ins(Context(f(HOLE))) is Ins(Context(f(HOLE)))
+
+
+def test_equal_terms_are_one_interned_node():
+    _equal_values_are_one_object(TERMS)
+
+
+def test_intern_table_drops_dead_nodes():
+    _table_drops_dead_entries(STRATEGIES)
+
+
+def test_intern_table_drops_dead_terms():
+    _table_drops_dead_entries(TERMS)
+
+
+def test_stale_death_callback_keeps_the_live_entry():
+    _stale_death_callback_keeps_the_live_entry(STRATEGIES)
+
+
+def test_stale_death_callback_keeps_the_live_term_entry():
+    _stale_death_callback_keeps_the_live_entry(TERMS)
+
+
+def test_constructor_rejects_wrong_arity():
+    gc.collect()
+    start = len(_TABLE)
+    with pytest.raises(TypeError, match=r"^Choice takes 2 fields, got 1$"):
+        Choice(FAIL_S)
+    with pytest.raises(TypeError, match=r"^Choice takes 2 fields, got 3$"):
+        Choice(FAIL_S, FAIL_S, FAIL_S)
+    assert len(_TABLE) == start
+
+
+def test_threads_building_equal_strategies_get_one_node():
+    _threads_building_equal_values_get_one_object(STRATEGIES)
+
+
+def test_threads_building_equal_terms_get_one_term():
+    _threads_building_equal_values_get_one_object(TERMS)
+
+
+def test_threads_rebuilding_a_node_whose_last_reference_died_get_one_node():
+    _threads_rebuilding_a_dead_value_get_one_object(STRATEGIES)
+
+
+def test_threads_rebuilding_a_term_whose_last_reference_died_get_one_term():
+    _threads_rebuilding_a_dead_value_get_one_object(TERMS)
 
 
 def test_strategy_10000_deep_needs_no_recursion():

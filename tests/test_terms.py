@@ -1,6 +1,8 @@
 """Term, position, and context operations against hand-computed values."""
 
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -152,9 +154,16 @@ def test_app_by_position_and_by_keyword_behaves_like_the_dataclass():
 
 def test_unequal_terms_with_known_hashes_differ():
     s, t = g(a(), b()), g(a(), a())
-    hash(s), hash(t)  # with both hashes stored, a difference settles inequality
     assert s != t and g(f(s), a()) != g(f(t), a())
     assert s == g(a(), b()) and hash(s) == hash(g(a(), b()))
+
+
+def test_copied_and_unpickled_terms_are_the_interned_term():
+    t = g(f(Var("x")), b())
+    assert copy.copy(t) is t and copy.deepcopy(t) is t
+    assert pickle.loads(pickle.dumps(t)) is t
+    c = ctx(g(HOLE, t))
+    assert copy.deepcopy(c).body is c.body
 
 
 def test_var_and_context_hash_as_the_tuple_of_their_compared_fields():
@@ -165,8 +174,7 @@ def test_var_and_context_hash_as_the_tuple_of_their_compared_fields():
 
 def test_cached_fields_take_no_part_in_equality_hash_or_repr():
     seen, fresh = g(f(a()), b()), g(f(a()), b())
-    depth(seen)
-    assert seen._depth == 2 and fresh._depth is None
+    assert seen._depth == 2
     assert seen == fresh and hash(seen) == hash(fresh)
     assert repr(seen) == repr(fresh)
     c = ctx(list2(HOLE, App("i")))
@@ -409,15 +417,22 @@ def spine(n, leaf):
 DEEP = 10_000
 
 
+def test_a_deep_term_built_twice_is_one_object_with_stored_depth_and_hash():
+    t = spine(DEEP, a())
+    assert spine(DEEP, a()) is t
+    assert depth(t) == DEEP
+    assert hash(t) == hash((t.head, t.args))
+
+
 def test_deep_terms_compare_and_hash():
     left, right = spine(DEEP, a()), spine(DEEP, a())
     assert left == right and not left != right
     assert hash(left) == hash(right)
     assert left in {right}
     other = spine(DEEP, b())
-    assert left != other  # told apart at the leaves, 10⁴ levels down
+    assert left != other  # they differ only at the leaves, 10⁴ levels down
     assert hash(other) != hash(left)
-    assert other != right and not other == right  # both hashes known
+    assert other != right and not other == right
     assert f(left) != other
     assert g(left, other) != g(left, right) and g(left, right) == g(right, left)
 
