@@ -17,7 +17,12 @@ contexts at the positions it reaches.  The constructors:
 * ``IfThen(c, b)``  -- run ``b`` when ``c`` would succeed; ``c`` is run for
                        success only, so its term is never built
 
-``eval_strategy`` rejects an open strategy before evaluation starts.
+``eval_strategy`` rejects an open strategy before evaluation starts.  It
+answers a repeated call from a memo on the strategy node: a closed node
+other than a leaf keeps its results by term, failures included, at most
+``_MEMO_CAP`` of them (the memo is emptied when full), and the memo lives
+and dies with its node.  Only the node ``eval_strategy`` was called on gets
+one: inner nodes and conditions are not memoised.
 
 ``jump(p, S)`` builds the derived form @p.S as nested single-entry
 conjunctions.
@@ -59,10 +64,11 @@ _NO_NAMES: frozenset[str] = frozenset()
 
 
 class _Node:
-    """Base of the strategy constructors: interning and the stored facts."""
+    """Base of the strategy constructors: interning, the stored facts and the
+    evaluation memo (``eval_strategy``)."""
 
     __slots__ = ("kids", "free", "star_height", "tree_depth", "simple", "never_fails", "fails_on_constants",
-                 "__weakref__")
+                 "memo", "__weakref__")
 
     def __new__(cls, *args):
         # interned in the table of ``ctxembed.terms`` under (class, *fields)
@@ -76,6 +82,11 @@ class _Node:
         if len(args) != arity:
             raise TypeError(f"{cls.__name__} takes {arity} fields, got {len(args)}")
         return _insert(key, build(*args))
+
+    def __reduce__(self):
+        # a copy or an unpickled node is built again, so it is the interned
+        # one, and its memo is never carried
+        return type(self), tuple([getattr(self, name) for name in self.__match_args__])
 
     __repr__ = fields_repr
 
@@ -169,10 +180,12 @@ _set_depth = _Node.tree_depth.__set__
 _set_simple = _Node.simple.__set__
 _set_never = _Node.never_fails.__set__
 _set_foc = _Node.fails_on_constants.__set__
+_set_memo = _Node.memo.__set__
 
 
 def _stored(cls, kids, free, height, tdepth, simple, never, foc):
-    """A new ``cls`` node with its seven stored values set, fields unset."""
+    """A new ``cls`` node with its seven stored values set, no memo, fields
+    unset."""
     node = _new(cls)
     _set_kids(node, kids)
     _set_free(node, free)
@@ -181,6 +194,7 @@ def _stored(cls, kids, free, height, tdepth, simple, never, foc):
     _set_simple(node, simple)
     _set_never(node, never)
     _set_foc(node, foc)
+    _set_memo(node, None)
     return node
 
 
@@ -382,6 +396,9 @@ def mu_iterate(var: str, body: Strat, n: int) -> Strat:
 # binder ran in, and how many more times reaching the variable may run it.
 Env = dict[str, tuple[Strat, "Env", int]]
 
+# the results a node's memo holds before it is emptied
+_MEMO_CAP = 1024
+
 
 def eval_strategy(s: Strat, t: Term) -> Optional[Term]:
     """Run a closed strategy on a term; None is failure.
@@ -400,10 +417,37 @@ def eval_strategy(s: Strat, t: Term) -> Optional[Term]:
     The condition of ``IfThen(c, b)`` is run for success only: its term is
     thrown away, so inside it an insertion fills no context and a map or
     ``Most`` stops at its first succeeding entry and rebuilds nothing.
+
+    A repeated call returns the stored result, the same object: a closed node
+    other than a leaf keeps a memo from an ``App`` subject to its result,
+    failure included.  Only this function reads or fills it, on its own
+    argument, after the open-strategy check and after evaluation returns, so
+    an exception is never stored, and inner nodes, conditions and
+    ``eval_strategy(td(s), t)`` leave the memo of ``s`` as it was.  The memo
+    lives as long as the node and holds terms only; it is emptied when it
+    holds ``_MEMO_CAP`` results.
     """
     if s.free:
         raise ValidationFailure(f"cannot evaluate open strategy (free {min(s.free)})")
-    return _eval(s, t, {}, True)
+    if not s.kids or type(t) is not App:  # a leaf or a variable: no memo
+        return _eval(s, t, {}, True)
+    # No lock: an entry is the one result of a pure function, so a race
+    # between threads can only lose an entry or store an equal one again.
+    memo = s.memo
+    if memo is None:
+        memo = {}
+        _set_memo(s, memo)
+    else:
+        # keyed by the term's stored hash, an int, so no Python __hash__
+        # runs; an entry holds its term, and only that term is a hit
+        hit = memo.get(t._hash)
+        if hit is not None and hit[0] is t:
+            return hit[1]
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+    got = _eval(s, t, {}, True)
+    memo[t._hash] = t, got
+    return got
 
 
 def _eval(s: Strat, t: Term, env: Env, whole: bool) -> Optional[Term]:

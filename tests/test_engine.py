@@ -695,6 +695,29 @@ def test_long_run_leaves_the_intern_table_as_it_found_it():
     assert len(_TABLE) <= start + 10
 
 
+def test_evaluated_outputs_leave_the_intern_table_as_they_found_it():
+    # each output keeps a memo of its results; the memo, and the terms only
+    # it holds, go when the output dies
+    cfg = GenConfig(seed=8)
+    terms = list(terms_up_to_depth(DEFAULT_SIGNATURE, 2))
+    gc.collect()
+    start = len(_TABLE)
+    outs = []
+    for i in range(40):
+        s, r = gen_strategy(cfg, 2 * i), gen_strategy(cfg, 2 * i + 1)
+        for op in (unify, combine):
+            for policy in MergePolicy:
+                out = op(op(s, r, policy=policy), r, policy=policy)
+                for t in terms:
+                    assert eval_strategy(out, t) is eval_strategy(out, t)
+                outs.append(out)
+    assert len(_TABLE) > start + 1_000
+    assert any(out.memo for out in outs)
+    del s, r, out, outs
+    gc.collect()
+    assert len(_TABLE) <= start + 10
+
+
 def test_unify_is_semantically_conjunctive():
     # both guards are judged against the original term, not each other's output
     s, r = Guard(U, Ins(TAU)), Guard(U_P, Ins(TAU_P))

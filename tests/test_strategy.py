@@ -1,6 +1,8 @@
 """Strategy language: evaluation, validation, measures, unfolding."""
 
+import copy
 import gc
+import pickle
 import sys
 import threading
 import time
@@ -785,6 +787,188 @@ def test_running_for_success_only_agrees_with_evaluation_on_engine_outputs(seed,
 def test_every_open_strategy_is_rejected(s):
     with pytest.raises(ValidationFailure, match=rf"^cannot evaluate open strategy \(free {min(s.free)}\)$"):
         eval_strategy(s, a())
+
+
+# ---------------------------------------------------------------------------
+# the evaluation memo
+# ---------------------------------------------------------------------------
+
+
+def _memo_strategy(name: str) -> Strat:
+    """A closed strategy no other test builds: td of a guarded insertion."""
+    return td(Guard(g(Var("x"), Var("y")), Ins(Context(list2(HOLE, App(name))))))
+
+
+def _count_eval(monkeypatch) -> list:
+    """Replace ``_eval`` by a wrapper that records the subject of every
+    call, the evaluator's own recursive calls included."""
+    entered: list = []
+
+    def spy(s, t, env, whole):
+        entered.append(t)
+        return inner(s, t, env, whole)
+
+    inner = strategy._eval
+    monkeypatch.setattr(strategy, "_eval", spy)
+    return entered
+
+
+def test_a_repeated_evaluation_is_answered_from_the_memo(monkeypatch):
+    s = _memo_strategy("memo_hit")
+    entered = _count_eval(monkeypatch)
+    succeeds, fails = f(g(a(), b())), f(f(a()))
+    for t in (succeeds, fails):
+        first = eval_strategy(s, t)
+        n = len(entered)
+        assert n > 0
+        again = eval_strategy(s, t)
+        assert again is first and len(entered) == n
+    assert eval_strategy(s, succeeds) == f(list2(g(a(), b()), App("memo_hit")))
+    assert eval_strategy(s, fails) is None
+    assert s.memo == {succeeds._hash: (succeeds, eval_strategy(s, succeeds)), fails._hash: (fails, None)}
+
+
+def test_only_the_stored_term_is_a_hit():
+    # the memo is keyed by the stored hash; an entry under that hash for
+    # another term (a collision) is a miss, and is replaced
+    s = _memo_strategy("memo_collision")
+    t, other = g(a(), b()), f(a())
+    eval_strategy(s, other)
+    s.memo[t._hash] = (other, None)
+    assert eval_strategy(s, t) == list2(t, App("memo_collision"))
+    assert s.memo[t._hash][0] is t
+
+
+def test_a_variable_subject_is_evaluated_every_time(monkeypatch):
+    s = _memo_strategy("memo_var")
+    entered = _count_eval(monkeypatch)
+    want = strategy._eval(s, Var("x"), {}, True)
+    for memo in (None, {}):
+        strategy._set_memo(s, memo)
+        entered.clear()
+        assert eval_strategy(s, Var("x")) == want
+        n = len(entered)
+        assert n > 0 and eval_strategy(s, Var("x")) == want
+        assert len(entered) == 2 * n and s.memo == memo
+
+
+def test_leaves_keep_no_memo():
+    for s in (FAIL_S, Ins(Context(list2(HOLE, App("memo_leaf"))))):
+        eval_strategy(s, a())
+        assert s.memo is None
+
+
+def test_the_memo_holds_at_most_its_cap():
+    s = _memo_strategy("memo_cap")
+    terms = terms_up_to_depth(DEFAULT_SIGNATURE, 3)
+    assert len(terms) > 2 * strategy._MEMO_CAP
+    for t in terms:
+        assert eval_strategy(s, t) is strategy._eval(s, t, {}, True)
+        assert 1 <= len(s.memo) <= strategy._MEMO_CAP
+    # the memo was emptied and refilled, and still answers correctly
+    for t in terms[-10:]:
+        assert s.memo[t._hash][0] is t and eval_strategy(s, t) is strategy._eval(s, t, {}, True)
+
+
+def test_an_open_strategy_raises_before_any_lookup_every_time():
+    s = Choice(_memo_strategy("memo_open"), SVar("X"))
+    for _ in range(2):
+        with pytest.raises(ValidationFailure, match=r"^cannot evaluate open strategy \(free X\)$"):
+            eval_strategy(s, a())
+        assert s.memo is None
+
+
+def test_an_exception_is_never_stored(monkeypatch):
+    s = _memo_strategy("memo_raise")
+    t = g(a(), b())
+    inner = strategy._eval
+    raised: list = []
+
+    def once(s, t, env, whole):
+        if not raised:
+            raised.append(t)
+            raise RuntimeError("interrupted")
+        return inner(s, t, env, whole)
+
+    monkeypatch.setattr(strategy, "_eval", once)
+    with pytest.raises(RuntimeError, match="^interrupted$"):
+        eval_strategy(s, t)
+    assert t._hash not in (s.memo or {})
+    assert eval_strategy(s, t) == list2(t, App("memo_raise"))
+
+
+def test_inner_nodes_and_conditions_keep_no_memo():
+    s = _memo_strategy("memo_inner")
+    cond = _memo_strategy("memo_cond")
+    for root in (td(s), IfThen(cond, s)):
+        for t in (f(g(a(), b())), g(a(), b()), a()):
+            eval_strategy(root, t)
+        assert root.memo
+        assert [node for node in nodes(root) if node is not root and node.memo is not None] == []
+
+
+def test_threads_evaluating_one_node_get_identical_results():
+    s = _memo_strategy("memo_threads")
+    want = [strategy._eval(s, t, {}, True) for t in _GROUND]
+    got: list[list] = [[] for _ in range(4)]
+
+    def work(out: list) -> None:
+        for _ in range(50):
+            out.append([eval_strategy(s, t) for t in _GROUND])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == 50 and all(map(is_, row, want)) for out in got for row in out)
+
+
+def _memo_agrees_with_a_fresh_evaluation(s: Strat) -> None:
+    for t in _GROUND:
+        fresh = strategy._eval(s, t, {}, True)
+        assert eval_strategy(s, t) == fresh and eval_strategy(s, t) == fresh, (s, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_strategies)
+def test_memoised_evaluation_agrees_with_a_fresh_one(s):
+    _memo_agrees_with_a_fresh_evaluation(Mu("X", Mu("Y", s)) if s.free else s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 3), index=st.integers(0, 10**6), op=st.sampled_from([unify, combine]),
+       policy=st.sampled_from(list(MergePolicy)))
+def test_memoised_evaluation_agrees_with_a_fresh_one_on_engine_outputs(seed, index, op, policy):
+    cfg = GenConfig(seed=seed)
+    _memo_agrees_with_a_fresh_evaluation(
+        op(gen_strategy(cfg, 2 * index), gen_strategy(cfg, 2 * index + 1), policy=policy, simplify_output=False))
+
+
+def test_copied_and_unpickled_strategies_are_the_interned_node():
+    text = "mu X. a ; ins <f([])> + @1.X"
+    s = parse_strategy(text)
+    for node in [s, *(row[0] for row in ONE_OF_EACH), *(row[2] for row in ONE_OF_EACH)]:
+        assert copy.copy(node) is node
+        assert copy.deepcopy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+    # the pickle holds the fields only: a node unpickled after the original
+    # died is built again, with no memo
+    s = _memo_strategy("memo_pickle")
+    eval_strategy(s, g(a(), b()))
+    assert s.memo
+    data, shown = pickle.dumps(s), print_strategy(s)
+    del s
+    gc.collect()
+    again = pickle.loads(data)
+    assert again.memo is None
+    assert again is _memo_strategy("memo_pickle") and print_strategy(again) == shown
 
 
 def _simple_iff_kept(s: Strat) -> None:
