@@ -29,10 +29,11 @@ conjunctions.
 
 Strategies are interned by the mechanism that interns terms
 (``ctxembed.terms``): one weak table keyed by (class, *fields), whose entries
-go when their nodes die, a lookup without a lock and an insertion under one.
-Building a node whose class and fields equal those of a live node returns
-that node, so structurally equal strategies are one object and equality and
-hashing are identity, O(1) at any depth.
+go when their nodes die, a lookup without a lock and an insertion under one,
+and the base class ``_Interned``, which freezes a node and pickles it by its
+fields.  Building a node whose class and fields equal those of a live node
+returns that node, so structurally equal strategies are one object and
+equality and hashing are identity, O(1) at any depth.
 Each node stores its children (``kids``, left to right) and six facts when it
 is built, from its fields and its children's facts: ``free`` (its free
 variables), ``star_height`` (the deepest binder nesting), ``tree_depth`` (the
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, Iterator, Mapping, Optional, Union
 
-from ctxembed.terms import _TABLE, App, Context, Position, Term, _insert, depth, fields_repr, match
+from ctxembed.terms import _TABLE, App, Context, Position, Term, _insert, _Interned, depth, match
 
 
 class ValidationFailure(ValueError):
@@ -63,12 +64,12 @@ class ValidationFailure(ValueError):
 _NO_NAMES: frozenset[str] = frozenset()
 
 
-class _Node:
+class _Node(_Interned):
     """Base of the strategy constructors: interning, the stored facts and the
     evaluation memo (``eval_strategy``)."""
 
     __slots__ = ("kids", "free", "star_height", "tree_depth", "simple", "never_fails", "fails_on_constants",
-                 "memo", "__weakref__")
+                 "memo")
 
     def __new__(cls, *args):
         # interned in the table of ``ctxembed.terms`` under (class, *fields)
@@ -83,65 +84,53 @@ class _Node:
             raise TypeError(f"{cls.__name__} takes {arity} fields, got {len(args)}")
         return _insert(key, build(*args))
 
-    def __reduce__(self):
-        # a copy or an unpickled node is built again, so it is the interned
-        # one, and its memo is never carried
-        return type(self), tuple([getattr(self, name) for name in self.__match_args__])
 
-    __repr__ = fields_repr
-
-
-def _node(cls):
-    return dataclass(frozen=True, slots=True, eq=False, init=False, repr=False)(cls)
-
-
-@_node
 class SFail(_Node):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@_node
 class SVar(_Node):
+    __slots__ = __match_args__ = ("name",)
     name: str
 
 
-@_node
 class Ins(_Node):
+    __slots__ = __match_args__ = ("ctx",)
     ctx: Context
 
 
-@_node
 class Guard(_Node):
+    __slots__ = __match_args__ = ("pattern", "body")
     pattern: Term
     body: "Strat"
 
 
-@_node
 class Choice(_Node):
+    __slots__ = __match_args__ = ("left", "right")
     left: "Strat"
     right: "Strat"
 
 
-@_node
 class Mu(_Node):
+    __slots__ = __match_args__ = ("var", "body")
     var: str
     body: "Strat"
 
 
-@_node
 class Conj(_Node):
     """Indexed entries; index None targets the current position (root)."""
 
+    __slots__ = __match_args__ = ("entries",)
     entries: tuple[tuple[Optional[int], "Strat"], ...]
 
 
-@_node
 class Most(_Node):
+    __slots__ = __match_args__ = ("body",)
     body: "Strat"
 
 
-@_node
 class IfThen(_Node):
+    __slots__ = __match_args__ = ("cond", "body")
     cond: "Strat"
     body: "Strat"
 
@@ -166,7 +155,7 @@ def jump(p: Position, body: Strat) -> Strat:
 # A miss in the intern table calls its class's builder, which makes the node
 # and sets its fields and stored values from the arguments and the children's
 # stored values.  Slots are set through their own descriptors, which skip the
-# frozen dataclass's __setattr__; a builder takes its fields' setters as
+# frozen base's __setattr__; a builder takes its fields' setters as
 # defaults, so they are locals.  Constructor depth counts a node one level
 # above its deepest child, a binder none and Most two (a map of jumps).  As
 # for what the syntax forces: a binder fails on constants outright (the zero
@@ -398,6 +387,8 @@ Env = dict[str, tuple[Strat, "Env", int]]
 
 # the results a node's memo holds before it is emptied
 _MEMO_CAP = 1024
+# a memo lookup's default: None is a stored failure
+_MISS = object()
 
 
 def eval_strategy(s: Strat, t: Term) -> Optional[Term]:
@@ -419,13 +410,13 @@ def eval_strategy(s: Strat, t: Term) -> Optional[Term]:
     ``Most`` stops at its first succeeding entry and rebuilds nothing.
 
     A repeated call returns the stored result, the same object: a closed node
-    other than a leaf keeps a memo from an ``App`` subject to its result,
-    failure included.  Only this function reads or fills it, on its own
-    argument, after the open-strategy check and after evaluation returns, so
-    an exception is never stored, and inner nodes, conditions and
-    ``eval_strategy(td(s), t)`` leave the memo of ``s`` as it was.  The memo
-    lives as long as the node and holds terms only; it is emptied when it
-    holds ``_MEMO_CAP`` results.
+    other than a leaf keeps a memo from an ``App`` subject, the term itself as
+    the key, to its result, failure included.  Only this function reads or
+    fills it, on its own argument, after the open-strategy check and after
+    evaluation returns, so an exception is never stored, and inner nodes,
+    conditions and ``eval_strategy(td(s), t)`` leave the memo of ``s`` as it
+    was.  The memo lives as long as the node and holds terms only; it is
+    emptied when it holds ``_MEMO_CAP`` results.
     """
     if s.free:
         raise ValidationFailure(f"cannot evaluate open strategy (free {min(s.free)})")
@@ -438,15 +429,13 @@ def eval_strategy(s: Strat, t: Term) -> Optional[Term]:
         memo = {}
         _set_memo(s, memo)
     else:
-        # keyed by the term's stored hash, an int, so no Python __hash__
-        # runs; an entry holds its term, and only that term is a hit
-        hit = memo.get(t._hash)
-        if hit is not None and hit[0] is t:
-            return hit[1]
+        got = memo.get(t, _MISS)
+        if got is not _MISS:
+            return got
         if len(memo) >= _MEMO_CAP:
             memo.clear()
     got = _eval(s, t, {}, True)
-    memo[t._hash] = t, got
+    memo[t] = got
     return got
 
 
@@ -557,16 +546,14 @@ class Validation:
 
     ``ok`` is exactly what the reduction engine requires of an input: closed,
     monotone, well-founded maps and insertions as the only root map entries.
-    ``linear`` (each binder's variable occurs exactly once in its body) is
-    reported but not required.  The engine needs neither linearity nor
-    renaming its inputs apart: every sub-problem it opens is a pair of closed
-    strategies, so an input's binder can capture nothing, and the binders it
-    makes take names neither input uses.
+    The engine needs neither linearity nor renaming its inputs apart: every
+    sub-problem it opens is a pair of closed strategies, so an input's binder
+    can capture nothing, and the binders it makes take names neither input
+    uses.
     """
 
     closed: bool
     monotone: bool
-    linear: bool
     well_founded: bool
     insertion_entries: bool
 
@@ -593,28 +580,6 @@ def _monotone_at(m: Mu) -> bool:
     return True
 
 
-def _linear_at(m: Mu) -> bool:
-    """The binder's variable occurs exactly once in its body.
-
-    Every node with the variable free holds an occurrence, so there is
-    exactly one when there is at least one and the walk through those nodes
-    reaches none of them twice.
-    """
-    if m.var not in m.body.free:
-        return False
-    seen: set[Strat] = set()
-    stack = [m.body]
-    while stack:
-        node = stack.pop()
-        if m.var not in node.free:
-            continue
-        if node in seen:
-            return False
-        seen.add(node)
-        stack.extend(node.kids)
-    return True
-
-
 def _well_founded_at(c: Conj) -> bool:
     """The map's indices are distinct, and a root entry comes last."""
     idxs = [i for i, _ in c.entries]
@@ -633,7 +598,6 @@ def validate(s: Strat) -> Validation:
     return Validation(
         closed=not s.free,
         monotone=all(map(_monotone_at, binders)),
-        linear=all(map(_linear_at, binders)),
         well_founded=all(map(_well_founded_at, maps)),
         insertion_entries=all(
             isinstance(b, Ins) for c in maps for i, b in c.entries if i is None

@@ -338,17 +338,20 @@ def parse_posce(text: str) -> PosCE:
         p.done(1)
         return FAIL_PCE
     i = p.expect(0, "[")
-    entries = []
+    entries: dict[Position, Context] = {}
     while True:
+        at = i
         pos, i = p.position(p.expect(i, "@"))
+        if pos in entries:
+            p.fail(at, f"repeated position {print_position(pos)}")
         ctx, i = p.context(p.expect(p.expect(i, "."), "<"))
         i = p.expect(i, ">")
-        entries.append((pos, ctx))
+        entries[pos] = ctx
         if p.toks[i] != ",":
             break
         i += 1
     p.done(p.expect(i, "]"))
-    return PosCE(tuple(entries))
+    return PosCE(tuple(entries.items()))
 
 
 # ---------------------------------------------------------------------------

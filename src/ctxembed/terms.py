@@ -6,10 +6,10 @@ tuple is the root.  A context is a term with exactly one hole; filling the
 hole embeds a term, and merging two contexts nests the right one inside the
 left one's hole.
 
-Terms are hash-consed: equal terms are one object, so equality is identity,
-and each App stores its hash and depth when it is built.  The intern table,
-its weak entries and its locked insertion serve the strategy nodes of
-``ctxembed.strategy`` as well.
+Terms are hash-consed: equal terms are one object, so equality and hashing
+are identity, and each App stores its depth when it is built.  The intern
+table, its weak entries, its locked insertion and the base class ``_Interned``
+serve the strategy nodes of ``ctxembed.strategy`` as well.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import enum
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Optional, Union
 
 
@@ -71,8 +71,9 @@ def fields_repr(obj) -> str:
 # modular hash-consing", 2006): the table maps a key to a weak reference to
 # the one live value with that key.  Child terms and nodes are interned
 # before their parent, so a key holds them by identity (variables and holes
-# compare by value), and equality is that of the object.  A constructor reads
-# the table itself, without a lock; only ``_insert``, on a miss, takes _LOCK.
+# compare by value), and equality and hashing are those of the object.  A
+# constructor reads the table itself, without a lock; only ``_insert``, on a
+# miss, takes _LOCK.
 _TABLE: dict[tuple, "_Ref"] = {}
 _LOCK = threading.Lock()
 
@@ -106,6 +107,27 @@ def _insert(key: tuple, value):
     return value
 
 
+class _Interned:
+    """Base of terms and strategy nodes: interned values, frozen once built,
+    which hash and compare by identity.  A subclass names its fields in
+    ``__match_args__`` and sets its slots through their descriptors."""
+
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # a copy or an unpickled value is built again, so it is the interned
+        # one, and nothing but its fields is carried
+        return type(self), tuple([getattr(self, name) for name in self.__match_args__])
+
+    __repr__ = fields_repr
+
+
 # ---------------------------------------------------------------------------
 # terms
 # ---------------------------------------------------------------------------
@@ -118,25 +140,19 @@ class Var:
     name: str
 
 
-class _Stored:
-    """Base of App: its stored hash and depth, and the slot for the intern
-    table's weak reference."""
-
-    __slots__ = ("_hash", "_depth", "__weakref__")
-
-
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
-class App(_Stored):
+class App(_Interned):
     """Application of a symbol to child terms; constants have no children.
 
     Terms are interned: building an App whose head and children equal those
-    of a live one returns that one, so equality is identity.  The hash, that
-    of ``(head, args)``, and the depth are stored when the node is built,
-    from its children's stored values.
+    of a live one returns that one, so equality and hashing are identity.
+    The depth is stored when the node is built, from its children's.
     """
 
+    __slots__ = ("head", "args", "_depth")
+    __match_args__ = ("head", "args")
+
     head: str
-    args: tuple["CtxTerm", ...] = ()
+    args: tuple["CtxTerm", ...]
 
     def __new__(cls, head: str, args: tuple["CtxTerm", ...] = ()) -> "App":
         key = (head, args)
@@ -145,11 +161,10 @@ class App(_Stored):
             node = ref()
             if node is not None:
                 return node
-        # the slots' own descriptors skip the frozen class's __setattr__
+        # the slots' own descriptors skip __setattr__
         node = _new(cls)
         _set_head(node, head)
         _set_args(node, args)
-        _set_hash(node, hash(key))
         d = 0
         for c in args:
             cd = c._depth + 1 if type(c) is App else 1
@@ -158,21 +173,11 @@ class App(_Stored):
         _set_depth(node, d)
         return _insert(key, node)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # a copy or an unpickled term is built again, so it is the interned one
-        return App, (self.head, self.args)
-
-    __repr__ = fields_repr
-
 
 _new = object.__new__
 _set_head = App.head.__set__
 _set_args = App.args.__set__
-_set_hash = _Stored._hash.__set__
-_set_depth = _Stored._depth.__set__
+_set_depth = App._depth.__set__
 
 
 @dataclass(frozen=True, slots=True)

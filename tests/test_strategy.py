@@ -613,7 +613,7 @@ def test_strategy_10000_deep_needs_no_recursion():
 
 def test_validate_closed_monotone_linear():
     v = validate(XI)
-    assert v.closed and v.monotone and v.linear and v.well_founded
+    assert v.closed and v.monotone and v.well_founded
     assert v.insertion_entries and v.ok
 
 
@@ -632,12 +632,7 @@ def test_validate_most_is_monotone_crossing():
 
 def test_validate_nonlinear():
     s = Mu("X", Choice(jump((1,), SVar("X")), jump((2,), SVar("X"))))
-    assert not validate(s).linear
     assert validate(s).monotone
-
-
-def test_validate_vacuous_mu_not_linear():
-    assert not validate(Mu("X", Ins(TAU_I))).linear
 
 
 def test_validate_walks_a_shared_body_once():
@@ -648,7 +643,7 @@ def test_validate_walks_a_shared_body_once():
     start = time.perf_counter()
     v = validate(Mu("X", d))
     assert time.perf_counter() - start < 0.1
-    assert v.monotone and not v.linear and v.ok
+    assert v.monotone and v.ok
 
 
 def test_validate_well_founded_conj():
@@ -825,18 +820,7 @@ def test_a_repeated_evaluation_is_answered_from_the_memo(monkeypatch):
         assert again is first and len(entered) == n
     assert eval_strategy(s, succeeds) == f(list2(g(a(), b()), App("memo_hit")))
     assert eval_strategy(s, fails) is None
-    assert s.memo == {succeeds._hash: (succeeds, eval_strategy(s, succeeds)), fails._hash: (fails, None)}
-
-
-def test_only_the_stored_term_is_a_hit():
-    # the memo is keyed by the stored hash; an entry under that hash for
-    # another term (a collision) is a miss, and is replaced
-    s = _memo_strategy("memo_collision")
-    t, other = g(a(), b()), f(a())
-    eval_strategy(s, other)
-    s.memo[t._hash] = (other, None)
-    assert eval_strategy(s, t) == list2(t, App("memo_collision"))
-    assert s.memo[t._hash][0] is t
+    assert s.memo == {succeeds: eval_strategy(s, succeeds), fails: None}
 
 
 def test_a_variable_subject_is_evaluated_every_time(monkeypatch):
@@ -867,7 +851,7 @@ def test_the_memo_holds_at_most_its_cap():
         assert 1 <= len(s.memo) <= strategy._MEMO_CAP
     # the memo was emptied and refilled, and still answers correctly
     for t in terms[-10:]:
-        assert s.memo[t._hash][0] is t and eval_strategy(s, t) is strategy._eval(s, t, {}, True)
+        assert s.memo[t] is eval_strategy(s, t) is strategy._eval(s, t, {}, True)
 
 
 def test_an_open_strategy_raises_before_any_lookup_every_time():
@@ -893,7 +877,7 @@ def test_an_exception_is_never_stored(monkeypatch):
     monkeypatch.setattr(strategy, "_eval", once)
     with pytest.raises(RuntimeError, match="^interrupted$"):
         eval_strategy(s, t)
-    assert t._hash not in (s.memo or {})
+    assert t not in (s.memo or {})
     assert eval_strategy(s, t) == list2(t, App("memo_raise"))
 
 

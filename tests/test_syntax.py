@@ -602,3 +602,14 @@ def test_posce_text_round_trip():
     )
     assert print_posce(e) == text
     assert print_posce(FAIL_PCE) == "fail"
+
+
+def test_parse_posce_rejects_a_repeated_position():
+    # at the second entry for the position; unify_pos would keep only one of them
+    for text, message, offset in [
+        ("[@1.<k([])>, @1.<m([])>]", "repeated position 1", 13),
+        ("[@eps.<[]>, @2.1.<f([])>, @eps.<g([],a)>]", "repeated position eps", 26),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_posce(text)
+        assert (text, str(err.value), err.value.offset) == (text, message, offset)

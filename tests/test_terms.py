@@ -132,8 +132,8 @@ def test_app_by_position_and_by_keyword_behaves_like_the_dataclass():
     by_position = App("g", (f(a()), b()))
     by_keyword = App(head="g", args=(App(head="f", args=(App(head="a"),)), App("b")))
     assert by_position == by_keyword and not by_position != by_keyword
-    # the hash a frozen dataclass generates from the compared fields
-    assert hash(by_position) == hash(by_keyword) == hash(("g", (f(a()), b())))
+    # one object, hashed by identity
+    assert hash(by_position) == hash(by_keyword) == object.__hash__(by_position)
     assert repr(by_keyword) == (
         "App(head='g', args=(App(head='f', args=(App(head='a', args=()),)), "
         "App(head='b', args=())))"
@@ -417,11 +417,11 @@ def spine(n, leaf):
 DEEP = 10_000
 
 
-def test_a_deep_term_built_twice_is_one_object_with_stored_depth_and_hash():
+def test_a_deep_term_built_twice_is_one_object_with_stored_depth():
     t = spine(DEEP, a())
     assert spine(DEEP, a()) is t
     assert depth(t) == DEEP
-    assert hash(t) == hash((t.head, t.args))
+    assert hash(t) == object.__hash__(t)
 
 
 def test_deep_terms_compare_and_hash():
