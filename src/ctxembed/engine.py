@@ -32,6 +32,17 @@ to be linear.  Every sub-problem is closed: a rule descends only through
 constructors that bind nothing, and rules 8a/8b replace a fixed point by its
 closed unfolding.  So no input binder can capture a variable of the output,
 and each new binder takes a name neither input uses.
+
+A repeated call is answered from one module-level memo, ``_UNIFIED``, from
+(left, right, policy, arity bound) to the raw, unsimplified output of the
+reduction.  Strategy nodes are interned, so equal inputs are one object and a
+lookup compares identities.  Only a reduction that returned is stored: a hit
+means both inputs passed the admissibility gate and every measure of that
+reduction decreased.  A call with a trace always reduces and leaves the memo
+as it was.  The memo holds at most ``_UNIFIED_CAP`` outputs and is emptied
+when full; until then it keeps its inputs and outputs alive.  ``combine``
+reaches it through ``unify``, so ``combine`` after ``unify`` of the same pair
+reduces once.
 """
 
 from __future__ import annotations
@@ -65,6 +76,9 @@ class EngineError(RuntimeError):
 
 _PHI_CAP = 100_000
 _MAX_STEPS = 1_000_000
+# the outputs ``_UNIFIED`` holds before it is emptied
+_UNIFIED_CAP = 16
+_UNIFIED: dict[tuple, Strat] = {}
 
 Measure = tuple[int, tuple[int, int], tuple[int, int]]
 # A rule's output: finished, or a builder and the sub-problems (one or more)
@@ -407,7 +421,7 @@ def _require_valid(s: Strat, side: str) -> None:
     if not v.well_founded:
         raise ValidationFailure(f"{side} strategy has a malformed conjunction")
     if not v.insertion_entries:
-        raise ValidationFailure("conjunction entries at the root must be insertions")
+        raise ValidationFailure(f"{side} strategy has a root map entry that is not an insertion")
 
 
 def unify(
@@ -420,10 +434,17 @@ def unify(
     trace: Optional[list] = None,
 ) -> Strat:
     """The strategy that performs both ``s`` and ``r`` where both succeed."""
-    _require_valid(s, "left")
-    _require_valid(r, "right")
-    sig = DEFAULT_SIGNATURE if signature is None else signature
-    out = _Engine(policy, max_arity(sig), s, r, trace).solve(s, r)
+    arity_bound = max_arity(DEFAULT_SIGNATURE if signature is None else signature)
+    key = (s, r, policy, arity_bound)
+    out = None if trace is not None else _UNIFIED.get(key)
+    if out is None:
+        _require_valid(s, "left")
+        _require_valid(r, "right")
+        out = _Engine(policy, arity_bound, s, r, trace).solve(s, r)
+        if trace is None:
+            if len(_UNIFIED) >= _UNIFIED_CAP:
+                _UNIFIED.clear()
+            _UNIFIED[key] = out
     return simplify_strategy(out) if simplify_output else out
 
 

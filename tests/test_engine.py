@@ -436,7 +436,7 @@ GATE_CASES = [
     ("@1.X", "closed", "{side} strategy is open: ['X']"),
     ("mu X. ins <[]> + X", "monotone", "{side} strategy is not monotone"),
     ("[@1.ins <[]>, @1.ins <f([])>]", "well_founded", "{side} strategy has a malformed conjunction"),
-    ("[@eps.(a ; ins <[]>)]", "insertion_entries", "conjunction entries at the root must be insertions"),
+    ("[@eps.(a ; ins <[]>)]", "insertion_entries", "{side} strategy has a root map entry that is not an insertion"),
 ]
 
 
@@ -658,6 +658,100 @@ def test_unify_and_combine_reach_10000_levels():
 
 
 # ---------------------------------------------------------------------------
+# the unification memo
+# ---------------------------------------------------------------------------
+
+
+def _count_reductions(monkeypatch) -> list:
+    """Each ``_Engine`` that ``unify`` builds from now on, one per reduction."""
+    made = []
+
+    class Counted(engine_module._Engine):
+        def __init__(self, *args):
+            made.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(engine_module, "_Engine", Counted)
+    return made
+
+
+def _unify_and_combine(s, r) -> list:
+    return [
+        (unify(s, r, policy=p, simplify_output=raw), combine(s, r, policy=p, simplify_output=raw))
+        for p in MergePolicy
+        for raw in (False, True)
+    ]
+
+
+def test_a_repeated_pair_is_reduced_once(monkeypatch):
+    made = _count_reductions(monkeypatch)
+    first = _unify_and_combine(XI, XI_P)
+    assert len(made) == 2  # one reduction per merge policy
+    again = _unify_and_combine(XI, XI_P)
+    assert len(made) == 2
+    engine_module._UNIFIED.clear()
+    fresh = _unify_and_combine(XI, XI_P)
+    assert len(made) == 4
+    assert all(x is y is z for row in zip(first, again, fresh) for x, y, z in zip(*row))
+    # the arity bound is part of the key: the same pair over constants only
+    # is another reduction with another output
+    assert unify(Most(Ins(SIGMA)), Ins(TAU)) != FAIL_S
+    assert unify(Most(Ins(SIGMA)), Ins(TAU), signature={"a": 0}) == FAIL_S
+    assert len(made) == 6
+
+
+def test_a_traced_call_reduces_and_records_the_same_steps(monkeypatch):
+    want: list = []
+    out = unify(XI, XI_P, trace=want)
+    assert not engine_module._UNIFIED  # a traced call stores nothing
+    assert unify(XI, XI_P) is out
+    made = _count_reductions(monkeypatch)
+    for op in (unify, combine):
+        trace: list = []
+        op(XI, XI_P, trace=trace)
+        assert trace == want
+    assert len(made) == 2
+    assert combine(XI, XI_P) is combine(XI, XI_P, trace=[])
+
+
+def test_an_invalid_input_raises_on_every_call(monkeypatch):
+    looping = Mu("X", Choice(Ins(TAU), SVar("X")))
+    for _ in range(3):
+        for op in (unify, combine):
+            with pytest.raises(ValidationFailure, match=r"^left strategy is not monotone$"):
+                op(looping, Ins(TAU))
+            with pytest.raises(ValidationFailure, match=r"^right strategy is not monotone$"):
+                op(Ins(TAU), looping)
+    # nor is a reduction that stopped stored
+    monkeypatch.setattr(engine_module, "_MAX_STEPS", 2)
+    for _ in range(3):
+        with pytest.raises(EngineError, match=r"^reduction exceeded the step cap$"):
+            unify(XI, XI_P)
+    assert not engine_module._UNIFIED
+
+
+def test_the_memo_is_bounded_and_emptying_it_frees_what_it_held():
+    cfg = GenConfig(seed=9)
+    gc.collect()
+    start = len(_TABLE)
+    pairs: set = set()
+    i = 0
+    while len(pairs) < 1_000:
+        s, r = gen_strategy(cfg, 2 * i), gen_strategy(cfg, 2 * i + 1)
+        i += 1
+        if (s, r) not in pairs:
+            pairs.add((s, r))
+            unify(s, r)
+            assert len(engine_module._UNIFIED) <= engine_module._UNIFIED_CAP
+    del s, r, pairs
+    gc.collect()
+    assert len(_TABLE) > start  # the last outputs and their inputs are held
+    engine_module._UNIFIED.clear()
+    gc.collect()
+    assert len(_TABLE) == start
+
+
+# ---------------------------------------------------------------------------
 # outputs are reusable engine inputs
 # ---------------------------------------------------------------------------
 
@@ -689,6 +783,7 @@ def test_long_run_leaves_the_intern_table_as_it_found_it():
                 outs.append(op(op(s, r, policy=policy), r, policy=policy))
     assert len(_TABLE) > start + 1_000
     del s, r, outs
+    engine_module._UNIFIED.clear()
     gc.collect()
     assert len(_TABLE) <= start + 10
 
@@ -712,6 +807,7 @@ def test_evaluated_outputs_leave_the_intern_table_as_they_found_it():
     assert len(_TABLE) > start + 1_000
     assert any(out.memo for out in outs)
     del s, r, out, outs
+    engine_module._UNIFIED.clear()
     gc.collect()
     assert len(_TABLE) <= start + 10
 
