@@ -31,7 +31,6 @@ from ctxembed.strategy import (
     Mu,
     Strat,
     SVar,
-    ValidationFailure,
     alpha_rename,
     bound_vars,
     eval_strategy,
@@ -41,7 +40,6 @@ from ctxembed.strategy import (
     subst_var,
     td,
     unfold,
-    validate,
 )
 from ctxembed.syntax import print_posce, print_strategy, print_term
 from ctxembed.terms import (
@@ -348,12 +346,10 @@ def check_unfold_oracle(
     theorem only when every binder body makes frontier progress; on other
     inputs this reports the (real) disagreements it finds.
     """
-    if not (validate(s).ok and validate(r).ok):
-        raise ValidationFailure("the unfolding oracle needs engine-admissible inputs")
     sig = dict(DEFAULT_SIGNATURE) if signature is None else signature
+    joint = unify(s, r, policy=policy, signature=sig)  # the engine's gate comes first
     su = unfold(s, {name: n for name in bound_vars(s)})
     ru = unfold(r, {name: n for name in bound_vars(r)})
-    joint = unify(s, r, policy=policy, signature=sig)
     unrolled = unify(su, ru, policy=policy, signature=sig)
     failures: list[dict] = []
     for j, t in enumerate(terms_up_to_depth(sig, n)):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 import time
 from dataclasses import fields
@@ -53,6 +52,7 @@ from ctxembed.syntax import (
 )
 from ctxembed.terms import (
     DEFAULT_SIGNATURE,
+    App,
     CtxTerm,
     MergePolicy,
     Signature,
@@ -62,7 +62,6 @@ from ctxembed.terms import (
 )
 from ctxembed.translate import psi
 
-_SYMBOL = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 _SUITES: dict[str, Callable[[GenConfig], dict]] = {
     "homomorphism": check_homomorphism,
@@ -116,7 +115,11 @@ def _read_signature(path: str) -> Signature:
         if not line:
             continue
         name, sep, arity = line.partition("/")
-        if not sep or not _SYMBOL.match(name) or not arity.isdecimal():
+        try:
+            symbol = parse_term(name) is App(name)  # a constant as terms read it
+        except ParseError:
+            symbol = False
+        if not sep or not symbol or not arity.isdecimal():
             raise _Diag(f"{source}:{lineno}: expected name/arity, got {line!r}")
         if name in sig and sig[name] != int(arity):
             raise _Diag(f"{source}:{lineno}: symbol {name!r} declared twice")

@@ -21,11 +21,12 @@ lambda counts not-yet-opened fixed-point pairs (closure sizes minus the memory
 entries still relevant to the pair) and delta is the (star height, tree depth)
 pair.  A violation raises ``EngineError`` instead of looping.
 
-Each call first builds one closure table.  It numbers every strategy either
-input can reach by the walk ``phi`` makes, unfolding each fixed point once,
-and stores phi of every numbered node as a bitset; a measure is a few
-popcounts and bit tests on that table.  The same walk gives rules 8a/8b their
-unfoldings and the names their new binders must avoid.
+Each call first builds one closure table, in one walk over both inputs
+(``_table``): it numbers every strategy either input can reach, unfolding
+each fixed point once, and stores phi of every numbered node as a bitset; a
+measure is a few popcounts and bit tests on that table.  The same walk gives
+rules 8a/8b their unfoldings and the names their new binders must avoid, and
+``phi`` is that walk from one strategy.
 
 The inputs are taken as they are given, neither renamed apart nor required
 to be linear.  Every sub-problem is closed: a rule descends only through
@@ -47,7 +48,7 @@ reduces once.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from ctxembed.strategy import (
     FAIL_S,
@@ -99,80 +100,82 @@ def phi(s: Strat) -> frozenset:
     Fixed points contribute both their body and their one-step unfolding;
     the result is finite because unfolding only ever reintroduces ``s``.
     """
-    return frozenset(_reach(s, {}))
+    return frozenset(_table(s)[0])
 
 
-def _reach(s: Strat, unfoldings: dict) -> dict:
-    """phi(s) as the keys of a dict, in the order the walk meets them; the
-    unfolding of each fixed point met is kept in ``unfoldings``, and one
-    already there is reused."""
-    seen: dict = {}
-    work = [s]
-    while work:
-        node = work.pop()
-        if node in seen:
-            continue
-        seen[node] = None
-        if len(seen) > _PHI_CAP:
-            raise EngineError("closure exceeded size cap")
-        work.extend(node.kids)
-        if isinstance(node, Mu):
-            unfolding = unfoldings.get(node)
-            if unfolding is None:
-                unfolding = unfoldings[node] = subst_var(node.body, node.var, node)
-            work.append(unfolding)
-    return seen
+def _table(*roots: Strat) -> tuple[dict, list[int], dict, int, int, set]:
+    """The closure table of everything ``roots`` reach, from one walk:
+    (number, closure, unfoldings, mus, svars, taken) as ``_Engine`` keeps them.
 
-
-def _closures(succ: list[list[int]]) -> list[int]:
-    """Everything each node of a numbered graph reaches, itself included, as
-    bitsets; the graph may have cycles.
-
-    Tarjan's strongly connected components, iteratively: a component is
-    complete only after every component it reaches, so its closure is its
-    own nodes plus the closures of its edges out (Purdom 1970).
+    The walk numbers a node when it first meets it and gives a fixed point
+    its one-step unfolding there, as one more edge out.  It is Tarjan's
+    strongly connected components with the depth-first calls on an explicit
+    stack, ``calls``; ``stack`` holds the numbers not yet in a component,
+    and a component is its top down to the first node of it the walk met.
+    A component is complete only after every component it reaches, so its
+    closure is its own nodes plus the closures of its edges out (Purdom
+    1970), and is set for all of them at once.  Until then ``closure[k]``
+    gathers what node ``k``'s edges out reach, and ``low[k]`` is the least
+    number on ``stack`` that ``k`` reaches back to (``_PHI_CAP``, above
+    every number, once ``k`` is in a component).
     """
-    n = len(succ)
-    order = [-1] * n  # visit order: -1 before the visit, n once in a component
-    low = [0] * n
-    closure = [0] * n
+    number: dict[Strat, int] = {}
+    unfoldings: dict[Mu, Strat] = {}
+    taken: set[str] = set()
+    mus = svars = 0  # bitsets of the fixed points and of the variables
+    low: list[int] = []
+    closure: list[int] = []
     stack: list[int] = []
-    visits = 0
-    for root in range(n):
-        if order[root] >= 0:
+    calls: list[tuple[int, Iterator[Strat]]] = []
+    for node in roots:
+        if node in number:
             continue
-        order[root] = low[root] = visits
-        visits += 1
-        stack.append(root)
-        calls = [(root, iter(succ[root]))]
-        while calls:
+        while True:
+            if node is not None:
+                k = len(low)
+                if k >= _PHI_CAP:
+                    raise EngineError("closure exceeded size cap")
+                number[node] = k
+                kids = node.kids
+                if isinstance(node, Mu):
+                    unfoldings[node] = unfolding = subst_var(node.body, node.var, node)
+                    kids += (unfolding,)
+                    mus |= 1 << k
+                    taken.add(node.var)
+                elif isinstance(node, SVar):
+                    svars |= 1 << k
+                    taken.add(node.name)
+                low.append(k)
+                closure.append(0)
+                stack.append(k)
+                calls.append((k, iter(kids)))
             v, edges = calls[-1]
-            for w in edges:
-                if order[w] < 0:
-                    order[w] = low[w] = visits
-                    visits += 1
-                    stack.append(w)
-                    calls.append((w, iter(succ[w])))
+            for node in edges:
+                j = number.get(node)
+                if j is None:
                     break
-                if order[w] < low[v]:
-                    low[v] = order[w]
+                closure[v] |= closure[j]
+                if low[j] < low[v]:
+                    low[v] = low[j]
             else:
+                node = None
                 calls.pop()
-                if calls and low[v] < low[calls[-1][0]]:
-                    low[calls[-1][0]] = low[v]
-                if low[v] == order[v]:
-                    component, w = [], -1
+                if low[v] == v:
+                    bits, w = closure[v], -1
+                    component = []
                     while w != v:
                         w = stack.pop()
+                        bits |= 1 << w
                         component.append(w)
-                    bits = sum(1 << w for w in component)
                     for w in component:
-                        order[w] = n
-                        for x in succ[w]:
-                            bits |= closure[x]  # 0 inside the component
-                    for w in component:
-                        closure[w] = bits
-    return closure
+                        closure[w], low[w] = bits, _PHI_CAP
+                if not calls:
+                    break
+                u = calls[-1][0]
+                closure[u] |= closure[v]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+    return number, closure, unfoldings, mus, svars, taken
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +208,13 @@ def _dotted(place: Optional[tuple]) -> str:
 class _Engine:
     """One ``unify`` call: the rules and the closure table of both inputs.
 
-    ``number`` numbers every node either input reaches, ``closure[k]`` is phi
-    of node ``k`` as a bitset over those numbers, ``unfoldings`` maps each
-    fixed point to its one-step unfolding, ``taken`` holds every variable
-    name of both inputs plus the binder names made so far, and
-    ``binder_names`` draws the next of those.
+    ``_table`` walks both inputs once and gives the rest: ``number`` numbers
+    every node either input reaches, ``closure[k]`` is phi of node ``k`` as a
+    bitset over those numbers, ``unfoldings`` maps each fixed point to its
+    one-step unfolding, ``mus`` and ``svars`` are the bitsets of the fixed
+    points and of the variables, and ``taken`` holds every variable name of
+    both inputs plus the binder names made so far; ``binder_names`` draws
+    the next of those.
     """
 
     def __init__(
@@ -220,26 +225,9 @@ class _Engine:
         self.arity_bound = arity_bound
         self.trace = trace
         self.steps = 0
-        self.taken: set[str] = set()
-        self.number: dict[Strat, int] = {}
-        self.unfoldings: dict[Mu, Strat] = {}
-        self.mus = self.svars = 0  # bitsets of the fixed points and of the variables
-        succ: list[tuple[Strat, ...]] = []
-        for side in (left, right):
-            for node in _reach(side, self.unfoldings):
-                if node in self.number:
-                    continue
-                k = self.number[node] = len(succ)
-                kids = node.kids
-                if isinstance(node, Mu):
-                    self.mus |= 1 << k
-                    self.taken.add(node.var)
-                    kids += (self.unfoldings[node],)
-                elif isinstance(node, SVar):
-                    self.svars |= 1 << k
-                    self.taken.add(node.name)
-                succ.append(kids)
-        self.closure = _closures([[self.number[c] for c in kids] for kids in succ])
+        self.number, self.closure, self.unfoldings, self.mus, self.svars, self.taken = _table(
+            left, right
+        )
         self.binder_names = fresh_names("Z", self.taken)
 
     def measure(self, left: Strat, right: Strat, memory: frozenset) -> Measure:

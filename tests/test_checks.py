@@ -239,8 +239,16 @@ def test_unfold_oracle_identity_without_fixed_points():
 
 
 def test_unfold_oracle_rejects_open_strategies():
-    with pytest.raises(ValidationFailure):
+    with pytest.raises(ValidationFailure, match=r"^left strategy is open: \['X'\]$"):
         check_unfold_oracle(SVar("X"), XI, 1)
+
+
+def test_unfold_oracle_raises_the_engine_gate_message_naming_the_side():
+    looping = Mu("X", Choice(Ins(TAU), SVar("X")))
+    with pytest.raises(ValidationFailure, match=r"^left strategy is not monotone$"):
+        check_unfold_oracle(looping, XI, 1)
+    with pytest.raises(ValidationFailure, match=r"^right strategy is not monotone$"):
+        check_unfold_oracle(XI, looping, 1)
 
 
 def test_unfold_suite_clean():

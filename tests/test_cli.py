@@ -110,13 +110,24 @@ def test_signature_file_constrains_inputs(tmp_path, capsys):
     assert out == "" and "not in the signature" in err
 
 
-def test_malformed_signature_file(tmp_path, capsys):
+@pytest.mark.parametrize("line, accepted", [
+    ("nonsense", False),
+    # a signature names exactly the constants a term can hold
+    ("fA/1", True),
+    ("eps/0", False),
+    ("most/3", False),
+    ("X/0", False),
+], ids=["nonsense", "fA", "eps", "most", "X"])
+def test_malformed_signature_file(tmp_path, capsys, line, accepted):
     sigfile = tmp_path / "sig"
-    sigfile.write_text("a/0\nnonsense\n")
-    code, out, err = run(capsys, "apply", "--term", "a", "--strategy", "fail",
+    sigfile.write_text(f"a/0\n{line}\n")
+    code, out, err = run(capsys, "apply", "--term", "a", "--strategy", "ins <fA([])>",
                          "--signature", str(sigfile))
-    assert code == 2
-    assert out == "" and err.startswith(f"{sigfile}:2:")
+    if accepted:
+        assert (code, out, err) == (0, "fA(a)\n", "")
+    else:
+        assert code == 2
+        assert out == "" and err == f"{sigfile}:2: expected name/arity, got {line!r}\n"
 
 
 @pytest.mark.parametrize("command", [

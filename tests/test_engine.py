@@ -1,6 +1,7 @@
 """The prioritized reduction system that unifies two strategies."""
 
 import gc
+from collections import Counter
 from dataclasses import fields
 
 import pytest
@@ -32,6 +33,7 @@ from ctxembed.strategy import (
     eval_strategy,
     fresh_names,
     jump,
+    subst_var,
     validate,
 )
 from ctxembed.syntax import parse_strategy, print_strategy, print_term
@@ -84,6 +86,61 @@ def test_phi_of_loop():
 def test_phi_of_guard():
     s = Guard(U, Ins(TAU))
     assert phi(s) == frozenset({s, Ins(TAU)})
+
+
+def _reachable(s) -> frozenset:
+    """phi by its definition, apart from the engine's walk: every node the
+    children reach, and a fixed point's one-step unfolding."""
+    seen, work = set(), [s]
+    while work:
+        node = work.pop()
+        if node not in seen:
+            seen.add(node)
+            work.extend(node.kids)
+            if isinstance(node, Mu):
+                work.append(subst_var(node.body, node.var, node))
+    return frozenset(seen)
+
+
+def _check_table(s, r) -> int:
+    """The closure table of (s, r) against ``_reachable``, row by row; the
+    size of its largest strongly connected component."""
+    table = engine_module._Engine(MergePolicy.NEST, 2, s, r, None)
+    assert phi(s) == _reachable(s) and phi(r) == _reachable(r)
+    assert table.number.keys() == _reachable(s) | _reachable(r)
+    by_number = sorted(table.number, key=table.number.get)
+    for node, k in table.number.items():
+        row = bin(table.closure[k])[:1:-1]
+        assert {by_number[j] for j, bit in enumerate(row) if bit == "1"} == _reachable(node)
+        assert (table.mus >> k & 1, table.svars >> k & 1) == (isinstance(node, Mu), isinstance(node, SVar))
+    return max(Counter(table.closure).values())
+
+
+def test_the_closure_table_is_reachability():
+    cfg = GenConfig(seed=13)
+    cyclic = 0
+    for i in range(60):
+        s, r = gen_strategy(cfg, 2 * i), gen_strategy(cfg, 2 * i + 1)
+        cyclic += _check_table(s, r) > 1
+    # a fixed point whose variable occurs sits in one component with its
+    # unfolding
+    assert cyclic >= 40
+
+
+def test_the_closure_table_of_nested_outputs_is_reachability():
+    cfg = GenConfig(seed=17)
+    largest = []
+    for i in range(12):
+        a, b, c = (gen_strategy(cfg, 3 * i + k) for k in range(3))
+        ab = unify(a, b, simplify_output=False)
+        if len(phi(ab)) > 300:
+            continue
+        abc = unify(ab, c, simplify_output=False)
+        largest.append(_check_table(abc, ab))
+        _check_table(c, abc)
+    # an output's binders nest, and each reaches the others through its
+    # unfolding
+    assert len(largest) >= 10 and max(largest) >= 100
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +240,10 @@ def test_most_expansion_respects_signature_argument():
         ((1, Ins(SIGMA)), (2, Ins(SIGMA)), (3, Ins(SIGMA)), (None, Ins(TAU)))
     )
     assert got == IfThen(Most(Ins(SIGMA)), body)
-    constants_only = unify(Most(Ins(SIGMA)), Ins(TAU), signature={"a": 0})
-    assert constants_only == FAIL_S
+    for s, r, rule in ((Most(Ins(SIGMA)), Ins(TAU), "7b"), (Ins(TAU), Most(Ins(SIGMA)), "7c")):
+        trace: list = []
+        assert unify(s, r, signature={"a": 0}, trace=trace) == FAIL_S
+        assert [step["rule"] for step in trace] == [rule]
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +674,11 @@ def test_closure_cap_stops_unify(monkeypatch):
     monkeypatch.setattr(engine_module, "_PHI_CAP", 3)
     with pytest.raises(EngineError, match=r"^closure exceeded size cap$"):
         unify(XI, XI_P)
+    # the cap counts the table of both inputs together
+    monkeypatch.setattr(engine_module, "_PHI_CAP", 1)
+    assert unify(Ins(TAU), Ins(TAU)) == Ins(merge(TAU, TAU))
+    with pytest.raises(EngineError, match=r"^closure exceeded size cap$"):
+        unify(Ins(TAU), Ins(TAU_P))
 
 
 def test_step_cap_stops_unify(monkeypatch):
