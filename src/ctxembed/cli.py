@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Commands: apply, unify, combine, psi, check, unfold, verify.  Exit codes:
-0 success, 1 strategy failure or law violation, 2 usage or parse error, a
-strategy the command cannot take (such as an open one), or input nested too
-deeply for the command.  A parse error writes a line/column diagnostic to
-stderr and nothing to stdout; the other exit-2 cases write a one-line
-diagnostic to stderr and nothing to stdout.
+0 success, 1 strategy failure or law violation, 2 usage or parse error, an
+input file that cannot be read or is not UTF-8 text, a strategy the command
+cannot take (such as an open one), input nested too deeply for the command,
+or a unification that passes the engine's size or step cap.  A parse error
+writes a line/column diagnostic to stderr and nothing to stdout; the other
+exit-2 cases write a one-line diagnostic to stderr and nothing to stdout.
 The --term/--strategy/--left/--right values name a file when one exists at
 that path and are parsed as inline text otherwise.
 """
@@ -29,7 +30,7 @@ from ctxembed.checks import (
     check_theorem2,
     suite_unfold,
 )
-from ctxembed.engine import combine, unify
+from ctxembed.engine import EngineError, combine, unify
 from ctxembed.strategy import (
     Guard,
     Ins,
@@ -88,6 +89,8 @@ def _load(value: str, kind: str) -> tuple[str, str]:
                 return fh.read(), value
         except OSError as err:
             raise _Diag(f"{value}: {err.strerror}") from err
+        except UnicodeDecodeError as err:
+            raise _Diag(f"{value}: not UTF-8 text (byte {err.start})") from err
     return value, f"<{kind}>"
 
 
@@ -330,6 +333,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except RecursionError:
         print(f"{args.command}: input nested too deeply", file=sys.stderr)
+        return 2
+    except EngineError as err:
+        print(f"{args.command}: {err}", file=sys.stderr)
         return 2
 
 

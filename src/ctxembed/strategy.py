@@ -22,7 +22,8 @@ answers a repeated call from a memo on the strategy node: a closed node
 other than a leaf keeps its results by term, failures included, at most
 ``_MEMO_CAP`` of them (the memo is emptied when full), and the memo lives
 and dies with its node.  Only the node ``eval_strategy`` was called on gets
-one: inner nodes and conditions are not memoised.
+one: inner nodes and conditions are not memoised.  In the same way a node
+keeps its concrete syntax once ``syntax.print_strategy`` has printed it.
 
 ``jump(p, S)`` builds the derived form @p.S as nested single-entry
 conjunctions.
@@ -65,11 +66,12 @@ _NO_NAMES: frozenset[str] = frozenset()
 
 
 class _Node(_Interned):
-    """Base of the strategy constructors: interning, the stored facts and the
-    evaluation memo (``eval_strategy``)."""
+    """Base of the strategy constructors: interning, the stored facts, the
+    evaluation memo (``eval_strategy``) and the printed text
+    (``syntax.print_strategy``)."""
 
     __slots__ = ("kids", "free", "star_height", "tree_depth", "simple", "never_fails", "fails_on_constants",
-                 "memo")
+                 "memo", "printed")
 
     def __new__(cls, *args):
         # interned in the table of ``ctxembed.terms`` under (class, *fields)
@@ -170,11 +172,12 @@ _set_simple = _Node.simple.__set__
 _set_never = _Node.never_fails.__set__
 _set_foc = _Node.fails_on_constants.__set__
 _set_memo = _Node.memo.__set__
+_set_printed = _Node.printed.__set__
 
 
 def _stored(cls, kids, free, height, tdepth, simple, never, foc):
-    """A new ``cls`` node with its seven stored values set, no memo, fields
-    unset."""
+    """A new ``cls`` node with its seven stored values set, no memo, no
+    printed text, fields unset."""
     node = _new(cls)
     _set_kids(node, kids)
     _set_free(node, free)
@@ -184,6 +187,7 @@ def _stored(cls, kids, free, height, tdepth, simple, never, foc):
     _set_never(node, never)
     _set_foc(node, foc)
     _set_memo(node, None)
+    _set_printed(node, None)
     return node
 
 

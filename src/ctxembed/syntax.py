@@ -26,6 +26,15 @@ for a ParseError.  The printer runs on an explicit stack as well: a strategy
 shared within the printed one is worked out once per setting (see
 ``print_strategy``) and its text copied wherever it occurs again.
 
+Two memos answer a repeated call.  ``parse_strategy`` keeps its last
+results in one module-level dict, ``_PARSED``, from text to strategy; it
+stores only a parse that succeeded, so malformed text raises on every call,
+and it holds at most ``_PARSED_CAP`` strategies, keeping them alive, and is
+emptied when full.  ``print_strategy`` stores its text on the strategy node
+it printed, so the text lives and dies with its node.  Neither memo fills
+the other: printing stores nothing in ``_PARSED``, and parsing stores no
+text on a node.
+
 The JSON encoding (``to_json``) is a table, ``{"nodes": [...]}``: one row
 per distinct node, written by the children-first pass, so children come
 before their parents and the encoded strategy is the last row.  A row holds
@@ -54,6 +63,8 @@ from ctxembed.strategy import (
     Strat,
     SVar,
     _children_first,
+    _Node,
+    _set_printed,
     jump,
 )
 from ctxembed.terms import HOLE, App, Context, Hole, Position, Term, Var
@@ -325,10 +336,27 @@ def parse_position(text: str) -> Position:
     return out
 
 
+# the strategies ``_PARSED`` holds before it is emptied
+_PARSED_CAP = 16
+_PARSED: dict[str, Strat] = {}
+
+
 def parse_strategy(text: str) -> Strat:
-    p = _Parser(text)
-    s, i = p.strat(0)
-    p.done(i)
+    """The strategy ``text`` writes; malformed text raises ``ParseError``.
+
+    A repeated call returns the strategy from ``_PARSED``, a module-level
+    memo from text to strategy, without reading the text again.  Only a
+    parse that succeeded is stored.  The memo holds at most ``_PARSED_CAP``
+    strategies and is emptied when full; until then it keeps them alive.
+    """
+    s = _PARSED.get(text)
+    if s is None:
+        p = _Parser(text)
+        s, i = p.strat(0)
+        p.done(i)
+        if len(_PARSED) >= _PARSED_CAP:
+            _PARSED.clear()
+        _PARSED[text] = s
     return s
 
 
@@ -434,6 +462,9 @@ def _collapse(s: Strat) -> tuple[list[int], Strat]:
 def print_strategy(s: Strat) -> str:
     """The concrete syntax of ``s``, which ``parse_strategy`` reads back.
 
+    The text is stored on ``s`` itself, so a repeated call returns it
+    without printing again, and it dies with ``s``.
+
     A sub-strategy is printed in a setting: the loosest operator it may show
     unparenthesized (``_CHOICE`` or ``_SEQ``), and whether more of a choice
     follows it.  The printer runs on an explicit stack of pending text and
@@ -441,6 +472,16 @@ def print_strategy(s: Strat) -> str:
     A pair met again copies that stretch of text, so a shared sub-strategy
     is worked out once per setting however often it is printed.
     """
+    if not isinstance(s, _Node):
+        raise TypeError(f"not a strategy: {s!r}")
+    text = s.printed
+    if text is None:
+        text = _print(s)
+        _set_printed(s, text)
+    return text
+
+
+def _print(s: Strat) -> str:
     parts: list[str] = []
     spans: dict[tuple, tuple[int, int]] = {}
     leaves: dict[Strat, str] = {}
@@ -516,7 +557,7 @@ def print_strategy(s: Strat) -> str:
                 steps, tail = _collapse(node)
                 push((tail, _SEQ, followed))
                 push(f"@{'.'.join(map(str, steps))}.")
-        elif cls is Conj:
+        else:  # a map of several entries
             push("]")
             for k in range(len(node.entries) - 1, -1, -1):
                 idx, body = node.entries[k]
@@ -530,8 +571,6 @@ def print_strategy(s: Strat) -> str:
                 if k:
                     push(", ")
             push("[")
-        else:
-            raise TypeError(f"not a strategy: {node!r}")
     return "".join(parts)
 
 

@@ -2,11 +2,12 @@
 
 import pytest
 
-from ctxembed import engine
+from ctxembed import engine, syntax
 
 
 @pytest.fixture(autouse=True)
-def empty_unification_memo():
-    # a test that counts reductions, caps them or watches the intern table
-    # must not see outputs that an earlier test left in the memo
+def empty_module_memos():
+    # a test that counts reductions or parses, caps them or watches the
+    # intern table must not see what an earlier test left in a memo
     engine._UNIFIED.clear()
+    syntax._PARSED.clear()

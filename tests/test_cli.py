@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ctxembed import cli
+from ctxembed import cli, engine
 from ctxembed.syntax import parse_strategy, parse_term, print_strategy
 from ctxembed.engine import combine, unify
 from ctxembed.terms import App
@@ -294,6 +294,32 @@ def test_input_nested_too_deeply_is_a_usage_error(tmp_path, capsys, command):
     assert code == 2
     assert out == ""
     assert err == f"{command}: input nested too deeply\n"
+
+
+@pytest.mark.parametrize("option", ["--strategy", "--term", "--signature"])
+def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, option):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"ins <f(\xff[])>\n")
+    args = {"--strategy": "ins <f([])>", "--term": "a"}
+    args[option] = str(bad)
+    code, out, err = run(capsys, "apply", *(x for pair in args.items() for x in pair))
+    assert code == 2
+    assert out == ""
+    assert err == f"{bad}: not UTF-8 text (byte 7)\n"
+
+
+@pytest.mark.parametrize("command", ["unify", "combine"])
+def test_a_unification_past_the_engine_caps_is_a_usage_error(capsys, monkeypatch, command):
+    # the stored pair under a step cap it cannot meet, then two guard chains
+    # whose closure table passes the size cap together
+    monkeypatch.setattr(engine, "_MAX_STEPS", 2)
+    code, out, err = run(capsys, command, "--left", "tests/data/s.ces", "--right", "tests/data/sprime.ces")
+    assert (code, out, err) == (2, "", f"{command}: reduction exceeded the step cap\n")
+    monkeypatch.setattr(engine, "_PHI_CAP", 50)
+    left, right = "a ; " * 30 + "ins <[]>", "b ; " * 30 + "ins <[]>"
+    for extra in ([], ["--json"], ["--trace"]):
+        code, out, err = run(capsys, command, "--left", left, "--right", right, *extra)
+        assert (code, out, err) == (2, "", f"{command}: closure exceeded size cap\n")
 
 
 def test_apply_prints_a_result_deeper_than_evaluation_recurses(tmp_path, capsys):

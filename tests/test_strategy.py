@@ -961,7 +961,7 @@ def test_copied_and_unpickled_strategies_are_the_interned_node():
         assert copy.deepcopy(node) is node
         assert pickle.loads(pickle.dumps(node)) is node
     # the pickle holds the fields only: a node unpickled after the original
-    # died is built again, with no memo
+    # died is built again, with no memo and no printed text
     s = _memo_strategy("memo_pickle")
     eval_strategy(s, g(a(), b()))
     assert s.memo
@@ -969,7 +969,7 @@ def test_copied_and_unpickled_strategies_are_the_interned_node():
     del s
     gc.collect()
     again = pickle.loads(data)
-    assert again.memo is None
+    assert again.memo is None and again.printed is None
     assert again is _memo_strategy("memo_pickle") and print_strategy(again) == shown
 
 

@@ -1,5 +1,9 @@
 """Concrete syntax: parsing, printing, JSON encoding."""
 
+import gc
+import re
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +20,11 @@ from ctxembed.strategy import (
     Most,
     Mu,
     SFail,
+    Strat,
     SVar,
     jump,
 )
+from ctxembed import syntax
 from ctxembed.syntax import (
     ParseError,
     parse_context,
@@ -34,7 +40,7 @@ from ctxembed.syntax import (
     to_json,
 )
 from ctxembed.posce import FAIL_PCE, PosCE
-from ctxembed.terms import HOLE, App, Context, MergePolicy, Var
+from ctxembed.terms import _TABLE, HOLE, App, Context, MergePolicy, Var
 
 
 def a():
@@ -481,6 +487,89 @@ def test_print_and_parse_reach_10000_levels():
     assert print_strategy(down) == "@" + "1." * DEEP + "X"
     spine = "f(" * DEEP + "a" + ")" * DEEP
     assert print_term(parse_term(spine)) == spine
+
+
+# ---------------------------------------------------------------------------
+# strategies: the parse and print memos
+# ---------------------------------------------------------------------------
+
+
+def test_a_repeated_parse_reads_the_text_once(monkeypatch):
+    read = []
+    tokenize = syntax._tokenize
+    monkeypatch.setattr(syntax, "_tokenize", lambda text: read.append(text) or tokenize(text))
+    text = "mu X. a ; ins <f([])> + @1.X"
+    s = parse_strategy(text)
+    assert read == [text]
+    # an equal text read from elsewhere is the same key
+    assert parse_strategy(text) is s and parse_strategy("".join(list(text))) is s
+    assert read == [text]
+    # parsing stores no text on the node, and a spelling of its own is a
+    # text of its own
+    assert s.printed is None
+    assert parse_strategy(f" {text} ") is s and len(read) == 2
+    syntax._PARSED.clear()
+    assert parse_strategy(text) is s and len(read) == 3
+
+
+def test_a_parse_error_is_raised_on_every_call():
+    for text, message, offset in [MALFORMED[1], MALFORMED[-1], ("X)", "trailing input at ')'", 1)]:
+        for _ in range(3):
+            with pytest.raises(ParseError) as err:
+                parse_strategy(text)
+            assert (str(err.value), err.value.offset) == (message, offset)
+    assert not syntax._PARSED
+
+
+def test_the_parse_memo_is_bounded_and_emptying_it_frees_what_it_held():
+    gc.collect()
+    start = len(_TABLE)
+    for i in range(10 * syntax._PARSED_CAP):
+        parse_strategy(f"mu X. parsed{i}(a, ?x) ; ins <f([], parsed{i})> + @1.X")
+        assert len(syntax._PARSED) <= syntax._PARSED_CAP
+    gc.collect()
+    assert len(_TABLE) > start  # the last strategies read are held
+    syntax._PARSED.clear()
+    gc.collect()
+    assert len(_TABLE) == start
+
+
+def _printed_once() -> Strat:
+    """A strategy no other test builds."""
+    return Choice(Mu("X", Guard(App("printed_once"), SVar("X"))), Ins(Context(App("printed_once", (HOLE,)))))
+
+
+def test_a_repeated_print_does_not_run_the_printer(monkeypatch):
+    printed = []
+    inner = syntax._print
+    monkeypatch.setattr(syntax, "_print", lambda s: printed.append(s) or inner(s))
+    s = _printed_once()
+    assert s.printed is None
+    text = print_strategy(s)
+    assert printed == [s] and s.printed is text
+    assert print_strategy(s) is text and printed == [s]
+    # only the node printed keeps its text, and printing parses nothing
+    assert s.left.printed is None and s.right.printed is None
+    assert not syntax._PARSED
+    assert print_strategy(s.left) == "mu X. printed_once ; X" and len(printed) == 2
+
+
+def test_a_printed_text_dies_with_its_node():
+    s = _printed_once()
+    text = print_strategy(s)
+    node = weakref.ref(s)
+    del s
+    gc.collect()
+    assert node() is None  # the stored text holds nothing alive
+    again = _printed_once()
+    assert again.printed is None
+    assert print_strategy(again) == text
+
+
+@pytest.mark.parametrize("value", ["X", None, App("a"), HOLE])
+def test_printing_what_is_not_a_strategy_is_a_type_error(value):
+    with pytest.raises(TypeError, match=f"^not a strategy: {re.escape(repr(value))}$"):
+        print_strategy(value)
 
 
 # ---------------------------------------------------------------------------
