@@ -4,9 +4,10 @@ Commands: apply, unify, combine, psi, check, unfold, verify.  Exit codes:
 0 success, 1 strategy failure or law violation, 2 usage or parse error, an
 input file that cannot be read or is not UTF-8 text, a strategy the command
 cannot take (such as an open one), input nested too deeply for the command,
-or a unification that passes the engine's size or step cap.  A parse error
-writes a line/column diagnostic to stderr and nothing to stdout; the other
-exit-2 cases write a one-line diagnostic to stderr and nothing to stdout.
+a unification that passes the engine's size or step cap, or an unfolding
+count above that size cap.  A parse error writes a line/column diagnostic
+to stderr and nothing to stdout; the other exit-2 cases write a one-line
+diagnostic to stderr and nothing to stdout.
 The --term/--strategy/--left/--right values name a file when one exists at
 that path and are parsed as inline text otherwise.
 """
@@ -22,6 +23,7 @@ from dataclasses import fields
 from functools import partial
 from typing import Callable, Optional
 
+from ctxembed import engine
 from ctxembed.checks import (
     GenConfig,
     check_algebra,
@@ -234,6 +236,10 @@ def _cmd_unfold(args: argparse.Namespace) -> int:
         counts = {name: args.n for name in binders}
     if any(n < 0 for n in counts.values()):
         raise _Diag("unfolding counts must be non-negative")
+    # an iterate is built one substitution per unit of its count
+    cap = engine._PHI_CAP
+    if any(n > cap for n in counts.values()):
+        raise _Diag(f"unfolding counts must be at most {cap}")
     print(print_strategy(unfold(s, counts)))
     return 0
 

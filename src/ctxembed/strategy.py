@@ -23,7 +23,13 @@ other than a leaf keeps its results by term, failures included, at most
 ``_MEMO_CAP`` of them (the memo is emptied when full), and the memo lives
 and dies with its node.  Only the node ``eval_strategy`` was called on gets
 one: inner nodes and conditions are not memoised.  In the same way a node
-keeps its concrete syntax once ``syntax.print_strategy`` has printed it.
+keeps its concrete syntax once ``syntax.print_strategy`` has printed it, its
+``Validation`` once ``validate`` has checked it, and its simplification once
+``simplify`` has rewritten it; ``simplify`` stops at a node that holds one,
+alone or inside a larger strategy.  A stored result never leads back to its
+node, so reference counting alone frees both.  None of these takes a lock:
+each stores the one result of a pure function, so threads that race store
+equal results.
 
 ``jump(p, S)`` builds the derived form @p.S as nested single-entry
 conjunctions.
@@ -52,7 +58,6 @@ on an explicit stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Callable, Iterator, Mapping, Optional, Union
 
 from ctxembed.terms import _TABLE, App, Context, Position, Term, _insert, _Interned, depth, match
@@ -66,12 +71,13 @@ _NO_NAMES: frozenset[str] = frozenset()
 
 
 class _Node(_Interned):
-    """Base of the strategy constructors: interning, the stored facts, the
-    evaluation memo (``eval_strategy``) and the printed text
-    (``syntax.print_strategy``)."""
+    """Base of the strategy constructors: interning, the stored facts, and
+    the results stored by a call on the node: the evaluation memo
+    (``eval_strategy``), the printed text (``syntax.print_strategy``), the
+    simplification (``simplify``) and the validation (``validate``)."""
 
     __slots__ = ("kids", "free", "star_height", "tree_depth", "simple", "never_fails", "fails_on_constants",
-                 "memo", "printed")
+                 "memo", "printed", "simplified", "validation")
 
     def __new__(cls, *args):
         # interned in the table of ``ctxembed.terms`` under (class, *fields)
@@ -173,11 +179,13 @@ _set_never = _Node.never_fails.__set__
 _set_foc = _Node.fails_on_constants.__set__
 _set_memo = _Node.memo.__set__
 _set_printed = _Node.printed.__set__
+_set_simplified = _Node.simplified.__set__
+_set_validation = _Node.validation.__set__
 
 
 def _stored(cls, kids, free, height, tdepth, simple, never, foc):
     """A new ``cls`` node with its seven stored values set, no memo, no
-    printed text, fields unset."""
+    printed text, no stored simplification or validation, fields unset."""
     node = _new(cls)
     _set_kids(node, kids)
     _set_free(node, free)
@@ -188,6 +196,8 @@ def _stored(cls, kids, free, height, tdepth, simple, never, foc):
     _set_foc(node, foc)
     _set_memo(node, None)
     _set_printed(node, None)
+    _set_simplified(node, None)
+    _set_validation(node, None)
     return node
 
 
@@ -311,11 +321,11 @@ def rebuild(s: Strat, kids: tuple[Strat, ...]) -> Strat:
 
 
 def _children_first(s: Strat, f: Callable[[Strat, tuple], Any],
-                    keep: Optional[Callable[[Strat], bool]] = None) -> Any:
+                    known: Optional[Callable[[Strat], Any]] = None) -> Any:
     """``f(node, its children's results)`` once per distinct node of ``s``,
     children before their parent, on an explicit stack; the result of ``s``
-    comes back.  A node ``keep`` accepts is its own result, and its children
-    are not visited.  The memo lasts one call."""
+    comes back.  Where ``known(node)`` is not None it is the node's result,
+    and the node's children are not visited.  The memo lasts one call."""
     memo: dict[Strat, Any] = {}
     stack: list = [s]
     while stack:
@@ -324,8 +334,9 @@ def _children_first(s: Strat, f: Callable[[Strat, tuple], Any],
             node, kids = node
             memo[node] = f(node, tuple([memo[c] for c in kids]))
         elif node not in memo:
-            if keep is not None and keep(node):
-                memo[node] = node
+            got = None if known is None else known(node)
+            if got is not None:
+                memo[node] = got
             else:
                 # (node, children) comes back off the stack once they are done
                 kids = node.kids
@@ -363,7 +374,7 @@ def subst_var(s: Strat, var: str, rep: Strat) -> Strat:
     Subtrees without a free ``var`` come back as the same objects.
     """
     return _children_first(s, lambda node, kids: rep if isinstance(node, SVar) else rebuild(node, kids),
-                           keep=lambda node: var not in node.free)
+                           lambda node: None if var in node.free else node)
 
 
 def mu_iterate(var: str, body: Strat, n: int) -> Strat:
@@ -591,7 +602,15 @@ def _well_founded_at(c: Conj) -> bool:
 
 
 def validate(s: Strat) -> Validation:
-    """Check the structural side conditions the reduction engine relies on."""
+    """Check the structural side conditions the reduction engine relies on.
+
+    The result is stored on ``s``, in its ``validation`` slot, so a repeated
+    call returns it without walking ``s`` again, and it dies with ``s``.
+    Only ``s`` stores one: the nodes inside it are walked, not validated.
+    """
+    v = s.validation
+    if v is not None:
+        return v
     binders: list[Mu] = []
     maps: list[Conj] = []
     for node in nodes(s):
@@ -599,7 +618,7 @@ def validate(s: Strat) -> Validation:
             binders.append(node)
         elif isinstance(node, Conj):
             maps.append(node)
-    return Validation(
+    v = Validation(
         closed=not s.free,
         monotone=all(map(_monotone_at, binders)),
         well_founded=all(map(_well_founded_at, maps)),
@@ -607,6 +626,8 @@ def validate(s: Strat) -> Validation:
             isinstance(b, Ins) for c in maps for i, b in c.entries if i is None
         ),
     )
+    _set_validation(s, v)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -614,12 +635,18 @@ def validate(s: Strat) -> Validation:
 # ---------------------------------------------------------------------------
 
 
+def _binder_free(node: Strat) -> Optional[Strat]:
+    """``node`` itself when it holds no binder, which a pass over binders
+    leaves as it is; else None."""
+    return None if node.star_height else node
+
+
 def unfold(s: Strat, counts: Mapping[str, int]) -> Strat:
     """Replace each binder by a finite iterate; counts maps binder names, and
     a binder missing from it raises KeyError."""
     return _children_first(s, lambda node, kids: (
         mu_iterate(node.var, kids[0], counts[node.var]) if isinstance(node, Mu) else rebuild(node, kids)
-    ), keep=lambda node: not node.star_height)
+    ), _binder_free)
 
 
 def simplify(s: Strat) -> Strat:
@@ -628,13 +655,27 @@ def simplify(s: Strat) -> Strat:
     An unused binder only disappears when its body fails on every constant:
     the zero iterate makes every fixed point fail on arity-0 terms, so
     dropping mu from a body that succeeds there would change the semantics.
-    Shared subtrees are simplified once, children before their parent, and
-    the pass stops at simple nodes, which it would leave as they are.
+    Shared subtrees are simplified once, children before their parent.
+
+    The pass stores its result on each node it rewrites, in the node's
+    ``simplified`` slot, so the result lives and dies with that node.  It
+    stops at a node that holds a stored result, which it returns, and at a
+    simple node, which it would leave as it is and which stores nothing.  A
+    node that is not simple always simplifies to another node, made of
+    simple nodes only, so no node stores itself and no stored result leads
+    back to the node that holds it.
     """
-    return _children_first(s, _simplify_node, keep=_is_simple)
+    return _children_first(s, _simplify_and_store, _known_simplification)
 
 
-_is_simple = attrgetter("simple")
+def _known_simplification(node: Strat) -> Optional[Strat]:
+    return node if node.simple else node.simplified
+
+
+def _simplify_and_store(node: Strat, kids: tuple[Strat, ...]) -> Strat:
+    out = _simplify_node(node, kids)
+    _set_simplified(node, out)
+    return out
 
 
 def _simplify_node(node: Strat, kids: tuple[Strat, ...]) -> Strat:
@@ -671,7 +712,7 @@ def _rename_binders(s: Strat, taken: set[str]) -> Strat:
         name = names[node.star_height - 1]
         return Mu(name, subst_var(kids[0], node.var, SVar(name)))
 
-    return _children_first(s, rename, keep=lambda node: not node.star_height)
+    return _children_first(s, rename, _binder_free)
 
 
 def alpha_rename(s: Strat, avoid: set[str]) -> Strat:

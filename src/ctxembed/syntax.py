@@ -24,16 +24,18 @@ split into tokens by one regular-expression scan, and the parser runs on
 explicit stacks over the token list; character offsets are worked out only
 for a ParseError.  The printer runs on an explicit stack as well: a strategy
 shared within the printed one is worked out once per setting (see
-``print_strategy``) and its text copied wherever it occurs again.
+``print_strategy``) and its text copied wherever it occurs again, and a
+sub-strategy that already holds a stored text is copied from it.
 
 Two memos answer a repeated call.  ``parse_strategy`` keeps its last
 results in one module-level dict, ``_PARSED``, from text to strategy; it
 stores only a parse that succeeded, so malformed text raises on every call,
 and it holds at most ``_PARSED_CAP`` strategies, keeping them alive, and is
 emptied when full.  ``print_strategy`` stores its text on the strategy node
-it printed, so the text lives and dies with its node.  Neither memo fills
-the other: printing stores nothing in ``_PARSED``, and parsing stores no
-text on a node.
+it printed, so the text lives and dies with its node; a larger print copies
+that text wherever the node occurs in it.  Neither memo fills the other:
+printing stores nothing in ``_PARSED``, and parsing stores no text on a
+node.
 
 The JSON encoding (``to_json``) is a table, ``{"nodes": [...]}``: one row
 per distinct node, written by the children-first pass, so children come
@@ -463,14 +465,19 @@ def print_strategy(s: Strat) -> str:
     """The concrete syntax of ``s``, which ``parse_strategy`` reads back.
 
     The text is stored on ``s`` itself, so a repeated call returns it
-    without printing again, and it dies with ``s``.
+    without printing again, and it dies with ``s``.  Only ``s`` stores its
+    text, so printing a chain 10⁴ deep takes memory linear in its length.
 
     A sub-strategy is printed in a setting: the loosest operator it may show
     unparenthesized (``_CHOICE`` or ``_SEQ``), and whether more of a choice
     follows it.  The printer runs on an explicit stack of pending text and
     (node, setting) pairs, and keeps where each pair's text begins and ends.
     A pair met again copies that stretch of text, so a shared sub-strategy
-    is worked out once per setting however often it is printed.
+    is worked out once per setting however often it is printed.  A
+    sub-strategy with a stored text, from an earlier ``print_strategy`` of
+    it, is not worked out at all: in any setting its text is the stored one,
+    in parentheses where the setting asks for them, so the stored text is
+    copied once that choice is made.
     """
     if not isinstance(s, _Node):
         raise TypeError(f"not a strategy: {s!r}")
@@ -517,12 +524,19 @@ def _print(s: Strat) -> str:
             parts += parts[span[0] : span[1]]
             continue
         # pieces go on the stack last first
-        push((item, len(parts)))
         if (cls is Choice and min_prec > _CHOICE) or (followed and _right_open(node, opens)):
+            push((item, len(parts)))
             push(")")
             push((node, _CHOICE, False))
             push("(")
-        elif cls is Guard:
+            continue
+        # unparenthesized, a node prints as on its own: a stored text is copied
+        text = node.printed
+        if text is not None:
+            parts.append(text)
+            continue
+        push((item, len(parts)))
+        if cls is Guard:
             push((node.body, _SEQ, followed))
             push(f"{print_term(node.pattern)} ; ")
         elif cls is Choice:

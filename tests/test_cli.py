@@ -397,6 +397,29 @@ def test_unfold_rejects_negative_counts(capsys):
     assert out == "" and "non-negative" in err
 
 
+@pytest.mark.parametrize("strategy, count", [
+    ("mu X. ins <f([])>", ["--n", "99999999999999999999"]),
+    ("mu X. ins <f([])> + @1.X", ["--n", "99999999999999999999"]),
+    ("mu X. ins <f([])> + @1.X", ["--map", "X=99999999999999999999"]),
+    ("mu X. [@1.mu Y. ins <[]> + @1.Y, @2.X]", ["--map", "X=1,Y=100001"]),
+])
+def test_unfold_rejects_counts_past_the_node_cap(capsys, strategy, count):
+    # an iterate is built one step per unit of its count: a huge count is
+    # refused at once instead of running for ever
+    code, out, err = run(capsys, "unfold", "--strategy", strategy, *count)
+    assert code == 2
+    assert out == "" and err == f"unfolding counts must be at most {engine._PHI_CAP}\n"
+
+
+def test_unfold_reads_the_node_cap_when_called(capsys, monkeypatch):
+    strategy = "mu X. ins <f([])> + @1.X"
+    assert run(capsys, "unfold", "--strategy", strategy, "--n", "3")[0] == 0
+    monkeypatch.setattr(engine, "_PHI_CAP", 2)
+    code, out, err = run(capsys, "unfold", "--strategy", strategy, "--n", "3")
+    assert code == 2 and out == "" and err == "unfolding counts must be at most 2\n"
+    assert run(capsys, "unfold", "--strategy", strategy, "--n", "2")[0] == 0
+
+
 def test_unfold_needs_exactly_one_count_source(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["unfold", "--strategy", "fail", "--n", "1", "--map", "X=1"])
@@ -432,6 +455,21 @@ def test_verify_reports_match_the_pinned_bytes(capsys, suite, cases, merge, seed
                        "--seed", seed, "--merge", merge)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_DATA = Path(__file__).parent / "data"
+_OUTPUTS = [line.split() for line in (_DATA / "outputs_sha256.txt").read_text().splitlines()]
+
+
+def test_unify_and_combine_outputs_match_the_pinned_bytes(capsys):
+    # one process, in file order, so a combine's print meets the texts its
+    # unify stored; each line: command, merge policy, text or --json --trace
+    for op, merge, form, digest in _OUTPUTS:
+        extra = ["--json", "--trace"] if form == "json" else []
+        code, out, _ = run(capsys, op, "--left", str(_DATA / "s.ces"), "--right", str(_DATA / "sprime.ces"),
+                           "--merge", merge, *extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (op, merge, form)
 
 
 def test_verify_seed_changes_the_sample(capsys):

@@ -33,6 +33,7 @@ from ctxembed.strategy import (
     eval_strategy,
     fresh_names,
     jump,
+    simplify,
     subst_var,
     validate,
 )
@@ -874,6 +875,34 @@ def test_evaluated_outputs_leave_the_intern_table_as_they_found_it():
     engine_module._UNIFIED.clear()
     gc.collect()
     assert len(_TABLE) <= start + 10
+
+
+def test_outputs_with_stored_results_are_freed_without_the_cycle_collector():
+    # a node's stored simplification, text and validation never lead back
+    # to the node, so dropping the last reference frees it at once
+    cfg = GenConfig(seed=6)
+    gc.collect()
+    start = len(_TABLE)
+    gc.disable()
+    try:
+        outs, stored = [], 0
+        for i in range(40):
+            s, r = gen_strategy(cfg, 2 * i), gen_strategy(cfg, 2 * i + 1)
+            for op in (unify, combine):
+                for policy in MergePolicy:
+                    raw = op(s, r, policy=policy, simplify_output=False)
+                    out = simplify(raw)
+                    for x in (s, r, raw, out):
+                        print_strategy(x)
+                        validate(x)
+                    stored += raw.simplified is not None
+                    outs.append(raw)
+        assert len(_TABLE) > start + 1_000 and stored > 50
+        del s, r, raw, out, x, outs
+        engine_module._UNIFIED.clear()
+        assert len(_TABLE) == start
+    finally:
+        gc.enable()
 
 
 def test_unify_is_semantically_conjunctive():

@@ -961,16 +961,19 @@ def test_copied_and_unpickled_strategies_are_the_interned_node():
         assert copy.deepcopy(node) is node
         assert pickle.loads(pickle.dumps(node)) is node
     # the pickle holds the fields only: a node unpickled after the original
-    # died is built again, with no memo and no printed text
-    s = _memo_strategy("memo_pickle")
+    # died is built again, with no memo, no printed text and no stored
+    # simplification or validation
+    s = Choice(_memo_strategy("memo_pickle"), FAIL_S)
     eval_strategy(s, g(a(), b()))
-    assert s.memo
+    assert s.memo and simplify(s) is s.simplified is s.left and validate(s) is s.validation
     data, shown = pickle.dumps(s), print_strategy(s)
+    assert copy.copy(s) is s and copy.deepcopy(s) is s and pickle.loads(data) is s
     del s
     gc.collect()
     again = pickle.loads(data)
     assert again.memo is None and again.printed is None
-    assert again is _memo_strategy("memo_pickle") and print_strategy(again) == shown
+    assert again.simplified is None and again.validation is None
+    assert again is Choice(_memo_strategy("memo_pickle"), FAIL_S) and print_strategy(again) == shown
 
 
 def _simple_iff_kept(s: Strat) -> None:
@@ -1126,6 +1129,74 @@ def test_simplify_stops_at_simple_subtrees(monkeypatch):
     start = len(_TABLE)
     assert simplify(s) is big
     assert visited == [s] and len(_TABLE) == start
+
+
+def test_simplify_and_validate_answer_a_repeated_call_from_the_node(monkeypatch):
+    # nodes no other test builds, so nothing is stored on them yet
+    leaf = Ins(Context(list2(HOLE, App("stored_once"))))
+    inner = Choice(leaf, FAIL_S)
+    s = Guard(U_DIAG, Conj(((1, inner), (None, Ins(TAU_J)))))
+    visited, walked = [], []
+
+    def spy(node, kids):
+        visited.append(node)
+        return _simplify_node(node, kids)
+
+    def spy_nodes(node):
+        walked.append(node)
+        return nodes(node)
+
+    monkeypatch.setattr(strategy, "_simplify_node", spy)
+    monkeypatch.setattr(strategy, "nodes", spy_nodes)
+    out = simplify(s)
+    assert visited == [inner, s.body, s] and s.simplified is out
+    # every node rewritten stores its result, and only those
+    assert inner.simplified is leaf and s.body.simplified is out.body
+    assert out.simplified is None and leaf.simplified is None
+    visited.clear()
+    above = Choice(s, s.body)
+    assert simplify(s) is out and simplify(above) == Choice(out, out.body) and visited == [above]
+    v = validate(s)
+    assert walked == [s] and s.validation is v and validate(s) is v and walked == [s]
+    assert s.body.validation is None  # a walked node stores nothing
+    # the reference simplifier neither reads the slot nor writes it
+    strategy._set_simplified(s, FAIL_S)
+    try:
+        assert simplify(s) is FAIL_S and _simplify_everywhere(s) is out and s.simplified is FAIL_S
+    finally:
+        strategy._set_simplified(s, out)
+
+
+def _forget_texts(s: Strat) -> None:
+    for node in nodes(s):
+        strategy._set_printed(node, None)
+
+
+@pytest.mark.parametrize("seed", [71, 5])
+def test_stored_results_give_what_a_fresh_pass_gives_on_engine_outputs(seed):
+    # combine(s, r) printed after unify(s, r): the combine output holds the
+    # unify output, whose text and simplification are stored
+    cfg = GenConfig(seed=seed)
+    copied = 0
+    for i in range(60):
+        s, r = gen_strategy(cfg, 2 * i), gen_strategy(cfg, 2 * i + 1)
+        for policy in MergePolicy:
+            raw = unify(s, r, policy=policy, simplify_output=False)
+            u = unify(s, r, policy=policy)
+            u_text = print_strategy(u)
+            c = combine(s, r, policy=policy)
+            copied += c is not u and u in set(nodes(c))
+            c_text = print_strategy(c)
+            before = [(node, node.simplified) for node in nodes(Choice(Choice(raw, s), r))]
+            for node, stored in before:
+                if stored is not None:
+                    assert not node.simple and stored.simple and stored is not node
+                    assert stored is _simplify_everywhere(node)
+            assert before == [(node, node.simplified) for node in nodes(Choice(Choice(raw, s), r))]
+            _forget_texts(c)
+            _forget_texts(u)
+            assert print_strategy(c) == c_text and print_strategy(u) == u_text
+    assert copied > 100
 
 
 def test_free_and_bound_vars():
