@@ -34,20 +34,26 @@ constructors that bind nothing, and rules 8a/8b replace a fixed point by its
 closed unfolding.  So no input binder can capture a variable of the output,
 and each new binder takes a name neither input uses.
 
-A repeated call is answered from one module-level memo, ``_UNIFIED``, from
+A result about one strategy node is stored on that node (``strategy``
+keeps a node's simplification and validation there), and a result keyed by
+anything else lives in a ``functools.lru_cache``.  So a repeated call is
+answered from ``_reduced``, an ``lru_cache`` of at most 16 entries from
 (left, right, policy, arity bound) to the raw, unsimplified output of the
-reduction.  Strategy nodes are interned, so equal inputs are one object and a
-lookup compares identities.  Only a reduction that returned is stored: a hit
-means both inputs passed the admissibility gate and every measure of that
-reduction decreased.  A call with a trace always reduces and leaves the memo
-as it was.  The memo holds at most ``_UNIFIED_CAP`` outputs and is emptied
-when full; until then it keeps its inputs and outputs alive.  ``combine``
-reaches it through ``unify``, so ``combine`` after ``unify`` of the same pair
-reduces once.
+reduction; when full it drops the entry used least recently.  Strategy nodes
+are interned, so equal inputs are one object and a lookup compares
+identities.  An ``lru_cache`` stores only a call that returned: a hit means
+both inputs passed the admissibility gate and every measure of that
+reduction decreased, and a rejected input or a stopped reduction raises
+again on every call.  A call with a trace runs the same function unwrapped,
+so it always reduces and leaves the cache as it was.  The cache keeps its
+inputs and outputs alive until it drops them.  ``combine`` reaches it
+through ``unify``, so ``combine`` after ``unify`` of the same pair reduces
+once.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterator, Optional, Union
 
 from ctxembed.strategy import (
@@ -77,9 +83,6 @@ class EngineError(RuntimeError):
 
 _PHI_CAP = 100_000
 _MAX_STEPS = 1_000_000
-# the outputs ``_UNIFIED`` holds before it is emptied
-_UNIFIED_CAP = 16
-_UNIFIED: dict[tuple, Strat] = {}
 
 Measure = tuple[int, tuple[int, int], tuple[int, int]]
 # A rule's output: finished, or a builder and the sub-problems (one or more)
@@ -196,15 +199,6 @@ def _under_gates(s: Strat, r: Strat) -> tuple[int, ...]:
     return (2,) * ((not s.never_fails) + (not r.never_fails))
 
 
-def _dotted(place: Optional[tuple]) -> str:
-    """The position a place in ``_Engine.solve`` names, as the trace writes it."""
-    parts: list[str] = []
-    while place is not None:
-        at, place = place
-        parts.extend(map(str, reversed(at)))
-    return ".".join(reversed(parts)) or "eps"
-
-
 class _Engine:
     """One ``unify`` call: the rules and the closure table of both inputs.
 
@@ -252,11 +246,12 @@ class _Engine:
         """The unification of ``s`` and ``r``.  ``waiting`` holds the rules
         whose sub-problems are not all solved: (rule, measure and place of the
         pair it fired on, the trace's opened children, builder, sub-problems,
-        results so far).  When tracing, a place is None at the root and (at,
-        the parent's place) below it: one link per pair, not a copy of its
-        path.  Without a trace, the place and the opened children stay None."""
+        results so far).  A place is the pair's position as the trace writes
+        it, ``eps`` at the root; a child's is its parent's with the child's
+        ``at`` appended.  Without a trace, the place stays ``eps`` and the
+        opened children None."""
         mem: frozenset = frozenset()
-        focus, place = self.measure(s, r, mem), None
+        focus, place = self.measure(s, r, mem), "eps"
         waiting: list[tuple] = []
         while True:
             if self.steps >= _MAX_STEPS:
@@ -269,7 +264,7 @@ class _Engine:
                 self.trace.append(
                     {
                         "rule": rule,
-                        "path": _dotted(place),
+                        "path": place,
                         "lambda": focus[0],
                         "dl": list(focus[1]),
                         "dr": list(focus[2]),
@@ -296,7 +291,8 @@ class _Engine:
                 raise EngineError(f"measure failed to decrease at rule {rule}: {focus} -> {kid}")
             if opened is not None:
                 opened.append([kid[0], list(kid[1]), list(kid[2])])
-                place = (at, place)
+                dotted = ".".join(map(str, at))
+                place = dotted if place == "eps" else f"{place}.{dotted}"
             focus = kid
 
     def entries(self, s: Strat) -> tuple:
@@ -412,6 +408,17 @@ def _require_valid(s: Strat, side: str) -> None:
         raise ValidationFailure(f"{side} strategy has a root map entry that is not an insertion")
 
 
+@lru_cache(maxsize=16)
+def _reduced(
+    s: Strat, r: Strat, policy: MergePolicy, arity_bound: int, trace: Optional[list] = None
+) -> Strat:
+    """The raw output of the reduction of ``s`` and ``r``, once both pass
+    the admissibility gate."""
+    _require_valid(s, "left")
+    _require_valid(r, "right")
+    return _Engine(policy, arity_bound, s, r, trace).solve(s, r)
+
+
 def unify(
     s: Strat,
     r: Strat,
@@ -423,16 +430,10 @@ def unify(
 ) -> Strat:
     """The strategy that performs both ``s`` and ``r`` where both succeed."""
     arity_bound = max_arity(DEFAULT_SIGNATURE if signature is None else signature)
-    key = (s, r, policy, arity_bound)
-    out = None if trace is not None else _UNIFIED.get(key)
-    if out is None:
-        _require_valid(s, "left")
-        _require_valid(r, "right")
-        out = _Engine(policy, arity_bound, s, r, trace).solve(s, r)
-        if trace is None:
-            if len(_UNIFIED) >= _UNIFIED_CAP:
-                _UNIFIED.clear()
-            _UNIFIED[key] = out
+    if trace is None:
+        out = _reduced(s, r, policy, arity_bound)
+    else:
+        out = _reduced.__wrapped__(s, r, policy, arity_bound, trace)
     return simplify_strategy(out) if simplify_output else out
 
 

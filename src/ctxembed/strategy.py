@@ -126,7 +126,11 @@ class Mu(_Node):
 
 
 class Conj(_Node):
-    """Indexed entries; index None targets the current position (root)."""
+    """Indexed entries; index None targets the current position (root).
+
+    A map has at least one entry, and each index is None or an ``int`` of
+    at least 1; any other map raises ``ValueError`` when built.
+    """
 
     __slots__ = __match_args__ = ("entries",)
     entries: tuple[tuple[Optional[int], "Strat"], ...]
@@ -253,9 +257,14 @@ def _build_mu(var, body, _set_var=Mu.var.__set__, _set_body=Mu.body.__set__):
 
 
 def _build_conj(entries, _set=Conj.entries.__set__):
+    # only a map the concrete syntax can write is built
+    if not entries:
+        raise ValueError("a map needs at least one entry")
     free, height, tdepth, simple = _NO_NAMES, 0, 0, True
     never, foc = False, True  # only root entries act on a constant; a map succeeds when one does
     for i, kid in entries:
+        if i is not None and (type(i) is not int or i < 1):
+            raise ValueError(f"a map index is None or an int of at least 1, not {i!r}")
         if kid.free:
             free = free | kid.free if free else kid.free
         if kid.star_height > height:

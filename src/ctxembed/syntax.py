@@ -27,15 +27,16 @@ shared within the printed one is worked out once per setting (see
 ``print_strategy``) and its text copied wherever it occurs again, and a
 sub-strategy that already holds a stored text is copied from it.
 
-Two memos answer a repeated call.  ``parse_strategy`` keeps its last
-results in one module-level dict, ``_PARSED``, from text to strategy; it
-stores only a parse that succeeded, so malformed text raises on every call,
-and it holds at most ``_PARSED_CAP`` strategies, keeping them alive, and is
-emptied when full.  ``print_strategy`` stores its text on the strategy node
-it printed, so the text lives and dies with its node; a larger print copies
-that text wherever the node occurs in it.  Neither memo fills the other:
-printing stores nothing in ``_PARSED``, and parsing stores no text on a
-node.
+Two memos answer a repeated call, by one rule: a result about one node
+lives on that node, and a result keyed by anything else lives in a
+``functools.lru_cache``.  ``print_strategy`` stores its text on the strategy
+node it printed, so the text lives and dies with its node; a larger print
+copies that text wherever the node occurs in it.  ``parse_strategy`` is an
+``lru_cache`` from text to strategy of at most 16 entries, which drops the
+one used least recently when full and keeps the strategies it holds alive;
+it stores only a parse that succeeded, so malformed text raises on every
+call.  Neither memo fills the other: printing stores nothing in the parse
+cache, and parsing stores no text on a node.
 
 The JSON encoding (``to_json``) is a table, ``{"nodes": [...]}``: one row
 per distinct node, written by the children-first pass, so children come
@@ -47,7 +48,7 @@ and its children as row indices; a shared node is written once.
 from __future__ import annotations
 
 import re
-from functools import partial
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import NoReturn, Optional, Union
 
@@ -338,27 +339,17 @@ def parse_position(text: str) -> Position:
     return out
 
 
-# the strategies ``_PARSED`` holds before it is emptied
-_PARSED_CAP = 16
-_PARSED: dict[str, Strat] = {}
-
-
+@lru_cache(maxsize=16)
 def parse_strategy(text: str) -> Strat:
     """The strategy ``text`` writes; malformed text raises ``ParseError``.
 
-    A repeated call returns the strategy from ``_PARSED``, a module-level
-    memo from text to strategy, without reading the text again.  Only a
-    parse that succeeded is stored.  The memo holds at most ``_PARSED_CAP``
-    strategies and is emptied when full; until then it keeps them alive.
+    A repeated call returns the strategy from the cache without reading the
+    text again; only a parse that succeeded is stored (see the module
+    docstring).
     """
-    s = _PARSED.get(text)
-    if s is None:
-        p = _Parser(text)
-        s, i = p.strat(0)
-        p.done(i)
-        if len(_PARSED) >= _PARSED_CAP:
-            _PARSED.clear()
-        _PARSED[text] = s
+    p = _Parser(text)
+    s, i = p.strat(0)
+    p.done(i)
     return s
 
 

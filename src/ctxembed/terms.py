@@ -19,6 +19,7 @@ import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import FrozenInstanceError, dataclass, field
+from itertools import product
 from typing import Iterable, Optional, Union
 
 
@@ -399,22 +400,7 @@ def check_signature(t: CtxTerm, sig: Signature) -> None:
 def terms_up_to_depth(sig: Signature, n: int) -> list[Term]:
     """Every ground term of depth <= n, in a deterministic order."""
     by_symbol = sorted(sig.items())
-    levels: list[list[Term]] = [[App(name) for name, ar in by_symbol if ar == 0]]
+    level: list[Term] = [App(name) for name, ar in by_symbol if ar == 0]
     for _ in range(n):
-        prev = levels[-1]
-        nxt: list[Term] = []
-        for name, ar in by_symbol:
-            if ar == 0:
-                continue
-            stacks: list[tuple[Term, ...]] = [()]
-            for _ in range(ar):
-                stacks = [s + (t,) for s in stacks for t in prev]
-            nxt.extend(App(name, s) for s in stacks)
-        levels.append(prev + nxt)
-    seen: set[Term] = set()
-    out: list[Term] = []
-    for t in levels[-1]:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
+        level = level + [App(name, args) for name, ar in by_symbol if ar for args in product(level, repeat=ar)]
+    return list(dict.fromkeys(level))

@@ -754,7 +754,7 @@ def test_a_repeated_pair_is_reduced_once(monkeypatch):
     assert len(made) == 2  # one reduction per merge policy
     again = _unify_and_combine(XI, XI_P)
     assert len(made) == 2
-    engine_module._UNIFIED.clear()
+    engine_module._reduced.cache_clear()
     fresh = _unify_and_combine(XI, XI_P)
     assert len(made) == 4
     assert all(x is y is z for row in zip(first, again, fresh) for x, y, z in zip(*row))
@@ -768,7 +768,7 @@ def test_a_repeated_pair_is_reduced_once(monkeypatch):
 def test_a_traced_call_reduces_and_records_the_same_steps(monkeypatch):
     want: list = []
     out = unify(XI, XI_P, trace=want)
-    assert not engine_module._UNIFIED  # a traced call stores nothing
+    assert engine_module._reduced.cache_info().currsize == 0  # a traced call stores nothing
     assert unify(XI, XI_P) is out
     made = _count_reductions(monkeypatch)
     for op in (unify, combine):
@@ -792,10 +792,11 @@ def test_an_invalid_input_raises_on_every_call(monkeypatch):
     for _ in range(3):
         with pytest.raises(EngineError, match=r"^reduction exceeded the step cap$"):
             unify(XI, XI_P)
-    assert not engine_module._UNIFIED
+    assert engine_module._reduced.cache_info().currsize == 0
 
 
 def test_the_memo_is_bounded_and_emptying_it_frees_what_it_held():
+    assert engine_module._reduced.cache_info().maxsize == 16
     cfg = GenConfig(seed=9)
     gc.collect()
     start = len(_TABLE)
@@ -807,13 +808,28 @@ def test_the_memo_is_bounded_and_emptying_it_frees_what_it_held():
         if (s, r) not in pairs:
             pairs.add((s, r))
             unify(s, r)
-            assert len(engine_module._UNIFIED) <= engine_module._UNIFIED_CAP
+            assert engine_module._reduced.cache_info().currsize == min(len(pairs), 16)
     del s, r, pairs
     gc.collect()
     assert len(_TABLE) > start  # the last outputs and their inputs are held
-    engine_module._UNIFIED.clear()
+    engine_module._reduced.cache_clear()
     gc.collect()
     assert len(_TABLE) == start
+
+
+def test_the_memo_drops_the_pair_used_least_recently(monkeypatch):
+    # a pair used again after 15 others outlives 15 more: a full memo drops
+    # its least recently used entry and is never emptied
+    made = _count_reductions(monkeypatch)
+    pairs = [(Ins(Context(App(f"lru{i}", (HOLE,)))), Ins(TAU)) for i in range(31)]
+    first = unify(*pairs[0])
+    for pair in pairs[1:16]:
+        unify(*pair)
+    assert unify(*pairs[0]) is first and len(made) == 16
+    for pair in pairs[16:]:
+        unify(*pair)
+    assert len(made) == 31
+    assert unify(*pairs[0]) is first and len(made) == 31
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +864,7 @@ def test_long_run_leaves_the_intern_table_as_it_found_it():
                 outs.append(op(op(s, r, policy=policy), r, policy=policy))
     assert len(_TABLE) > start + 1_000
     del s, r, outs
-    engine_module._UNIFIED.clear()
+    engine_module._reduced.cache_clear()
     gc.collect()
     assert len(_TABLE) <= start + 10
 
@@ -872,7 +888,7 @@ def test_evaluated_outputs_leave_the_intern_table_as_they_found_it():
     assert len(_TABLE) > start + 1_000
     assert any(out.memo for out in outs)
     del s, r, out, outs
-    engine_module._UNIFIED.clear()
+    engine_module._reduced.cache_clear()
     gc.collect()
     assert len(_TABLE) <= start + 10
 
@@ -899,7 +915,7 @@ def test_outputs_with_stored_results_are_freed_without_the_cycle_collector():
                     outs.append(raw)
         assert len(_TABLE) > start + 1_000 and stored > 50
         del s, r, raw, out, x, outs
-        engine_module._UNIFIED.clear()
+        engine_module._reduced.cache_clear()
         assert len(_TABLE) == start
     finally:
         gc.enable()

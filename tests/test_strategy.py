@@ -156,6 +156,23 @@ def test_stored_facts_hold_on_generated_strategies():
     assert 200 < len(never) < len(closed) and 200 < len(on_constants) < len(closed)
 
 
+def test_a_map_the_syntax_cannot_write_is_rejected():
+    # an empty map printed as "[]", and an index below 1 printed as "@0",
+    # would be texts the parser rejects
+    with pytest.raises(ValueError, match=r"^a map needs at least one entry$"):
+        Conj(())
+    bad = [((0, Ins(TAU_I)),), ((-1, FAIL_S),), ((True, FAIL_S),), ((1.0, FAIL_S),), (("1", FAIL_S),),
+           ((1, FAIL_S), (0, FAIL_S))]
+    start = len(_TABLE)
+    for entries in bad:
+        with pytest.raises(ValueError, match=r"^a map index is None or an int of at least 1, not "):
+            Conj(entries)
+    assert len(_TABLE) == start  # nothing was interned
+    for entries in [((None, Ins(TAU_I)),), ((1, FAIL_S),), ((3, FAIL_S), (1, Ins(TAU_I)), (None, Ins(TAU_I)))]:
+        assert Conj(entries).entries == entries
+        assert _same_text_back(Conj(entries))
+
+
 def test_nodes_lists_every_node_right_to_left():
     s = Choice(Ins(TAU_I), Conj(((1, FAIL_S), (2, SVar("X")))))
     assert list(nodes(s)) == [s, s.right, SVar("X"), FAIL_S, Ins(TAU_I)]
@@ -1109,7 +1126,7 @@ def test_repr_reaches_10000_levels():
     assert repr(guards) == "Guard(pattern=App(head='a', args=()), body=" * n + leaf + ")" * n
     jumps = jump((1,) * n, Ins(Context(HOLE)))
     assert repr(jumps) == "Conj(entries=((1, " * n + leaf + "),))" * n
-    assert repr(Conj(())) == "Conj(entries=())"
+    assert repr(Conj(((None, FAIL_S),))) == "Conj(entries=((None, SFail()),))"
     assert repr(FAIL_S) == "SFail()"
 
 

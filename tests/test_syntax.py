@@ -508,7 +508,7 @@ def test_a_repeated_parse_reads_the_text_once(monkeypatch):
     # text of its own
     assert s.printed is None
     assert parse_strategy(f" {text} ") is s and len(read) == 2
-    syntax._PARSED.clear()
+    parse_strategy.cache_clear()
     assert parse_strategy(text) is s and len(read) == 3
 
 
@@ -518,20 +518,37 @@ def test_a_parse_error_is_raised_on_every_call():
             with pytest.raises(ParseError) as err:
                 parse_strategy(text)
             assert (str(err.value), err.value.offset) == (message, offset)
-    assert not syntax._PARSED
+    assert parse_strategy.cache_info().currsize == 0
 
 
 def test_the_parse_memo_is_bounded_and_emptying_it_frees_what_it_held():
+    assert parse_strategy.cache_info().maxsize == 16
     gc.collect()
     start = len(_TABLE)
-    for i in range(10 * syntax._PARSED_CAP):
+    for i in range(10 * 16):
         parse_strategy(f"mu X. parsed{i}(a, ?x) ; ins <f([], parsed{i})> + @1.X")
-        assert len(syntax._PARSED) <= syntax._PARSED_CAP
+        assert parse_strategy.cache_info().currsize == min(i + 1, 16)
     gc.collect()
     assert len(_TABLE) > start  # the last strategies read are held
-    syntax._PARSED.clear()
+    parse_strategy.cache_clear()
     gc.collect()
     assert len(_TABLE) == start
+
+
+def test_the_parse_memo_drops_the_text_used_least_recently(monkeypatch):
+    # a text read again after 15 others outlives 15 more: a full memo drops
+    # its least recently used entry and is never emptied
+    read = []
+    tokenize = syntax._tokenize
+    monkeypatch.setattr(syntax, "_tokenize", lambda text: read.append(text) or tokenize(text))
+    texts = [f"lru{i} ; ins <f([])>" for i in range(31)]
+    first = parse_strategy(texts[0])
+    for text in texts[1:16]:
+        parse_strategy(text)
+    assert parse_strategy(texts[0]) is first and read == texts[:16]
+    for text in texts[16:]:
+        parse_strategy(text)
+    assert parse_strategy(texts[0]) is first and read == texts
 
 
 def _printed_once() -> Strat:
@@ -550,7 +567,7 @@ def test_a_repeated_print_does_not_run_the_printer(monkeypatch):
     assert print_strategy(s) is text and printed == [s]
     # only the node printed keeps its text, and printing parses nothing
     assert s.left.printed is None and s.right.printed is None
-    assert not syntax._PARSED
+    assert parse_strategy.cache_info().currsize == 0
     assert print_strategy(s.left) == "mu X. printed_once ; X" and len(printed) == 2
 
 

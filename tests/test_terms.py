@@ -2,12 +2,14 @@
 
 import copy
 import dataclasses
+import doctest
 import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ctxembed import terms
 from ctxembed.terms import (
     App,
     Context,
@@ -577,3 +579,9 @@ def test_terms_up_to_depth_deterministic():
     second = terms_up_to_depth(DEFAULT_SIGNATURE, 2)
     assert first == second
     assert all(depth(t) <= 2 for t in first)
+
+
+def test_the_docstring_examples_hold():
+    # the >>> examples of match and merge
+    results = doctest.testmod(terms)
+    assert results.attempted >= 4 and results.failed == 0
