@@ -571,7 +571,11 @@ def replay(
 
     Mirrors the iterate budget of the fixed-point semantics exactly: the root
     try costs nothing, each step down to the children costs one unit.
-    ``memo`` keeps results by (subterm, fuel) across calls for the same ``s``.
+    ``s`` is applied at each subterm through its ψ image
+    (``apply_pos_ce(psi(s, t), t)``), which reads no result stored by
+    ``eval_strategy``, so the replay stays independent of the evaluation it
+    is compared with.  ``memo`` keeps, across calls for the same ``s``,
+    results by (subterm, fuel) and the root try's result by subterm.
     """
     if fuel <= 0:
         return None
@@ -580,7 +584,10 @@ def replay(
     key = (t, fuel)
     if key in memo:
         return memo[key]
-    out = eval_strategy(s, t)
+    if t in memo:
+        out = memo[t]
+    else:
+        out = memo[t] = apply_pos_ce(psi(s, t), t)
     if out is None and isinstance(t, App) and t.args:
         kids = [replay(s, child, fuel - 1, memo) for child in t.args]
         if any(k is not None for k in kids):

@@ -15,19 +15,25 @@ contexts at the positions it reaches.  The constructors:
                        skipping failures, failing only when all entries fail
 * ``Most(S)``       -- apply ``S`` at every immediate child where it succeeds
 * ``IfThen(c, b)``  -- run ``b`` when ``c`` would succeed; ``c`` is run for
-                       success only, so its term is never built
+                       success only, so its term is never built, and not at
+                       all when its syntax forces success
 
 ``eval_strategy`` rejects an open strategy before evaluation starts.  It
 answers a repeated call from a memo on the strategy node: a closed node
 other than a leaf keeps its results by term, failures included, at most
 ``_MEMO_CAP`` of them (the memo is emptied when full), and the memo lives
 and dies with its node.  Only the node ``eval_strategy`` was called on gets
-one: inner nodes and conditions are not memoised.  In the same way a node
-keeps its concrete syntax once ``syntax.print_strategy`` has printed it, its
-``Validation`` once ``validate`` has checked it, and its simplification once
-``simplify`` has rewritten it; ``simplify`` stops at a node that holds one,
-alone or inside a larger strategy.  A stored result never leads back to its
-node, so reference counting alone frees both.  None of these takes a lock:
+one: inner nodes keep no evaluation memo.  A closed condition keeps its
+success by term instead, in its ``holds`` map, bounded the same way, so a
+condition that gates many outputs runs once per subject; an open condition
+depends on its environment and stores nothing.  ψ (``ctxembed.translate``)
+reads neither, so the homomorphism suite compares two evaluations that share
+no stored result.  In the same way a node keeps its concrete syntax once
+``syntax.print_strategy`` has printed it, its ``Validation`` once
+``validate`` has checked it, and its simplification once ``simplify`` has
+rewritten it; ``simplify`` stops at a node that holds one, alone or inside a
+larger strategy.  A stored result never leads back to its node, so reference
+counting alone frees both.  None of these takes a lock:
 each stores the one result of a pure function, so threads that race store
 equal results.
 
@@ -73,11 +79,13 @@ _NO_NAMES: frozenset[str] = frozenset()
 class _Node(_Interned):
     """Base of the strategy constructors: interning, the stored facts, and
     the results stored by a call on the node: the evaluation memo
-    (``eval_strategy``), the printed text (``syntax.print_strategy``), the
-    simplification (``simplify``) and the validation (``validate``)."""
+    (``eval_strategy``), the success of the node as a condition
+    (``holds``, filled by ``_eval``), the printed text
+    (``syntax.print_strategy``), the simplification (``simplify``) and the
+    validation (``validate``)."""
 
     __slots__ = ("kids", "free", "star_height", "tree_depth", "simple", "never_fails", "fails_on_constants",
-                 "memo", "printed", "simplified", "validation")
+                 "memo", "holds", "printed", "simplified", "validation")
 
     def __new__(cls, *args):
         # interned in the table of ``ctxembed.terms`` under (class, *fields)
@@ -182,6 +190,7 @@ _set_simple = _Node.simple.__set__
 _set_never = _Node.never_fails.__set__
 _set_foc = _Node.fails_on_constants.__set__
 _set_memo = _Node.memo.__set__
+_set_holds = _Node.holds.__set__
 _set_printed = _Node.printed.__set__
 _set_simplified = _Node.simplified.__set__
 _set_validation = _Node.validation.__set__
@@ -189,7 +198,8 @@ _set_validation = _Node.validation.__set__
 
 def _stored(cls, kids, free, height, tdepth, simple, never, foc):
     """A new ``cls`` node with its seven stored values set, no memo, no
-    printed text, no stored simplification or validation, fields unset."""
+    stored condition success, no printed text, no stored simplification or
+    validation, fields unset."""
     node = _new(cls)
     _set_kids(node, kids)
     _set_free(node, free)
@@ -199,6 +209,7 @@ def _stored(cls, kids, free, height, tdepth, simple, never, foc):
     _set_never(node, never)
     _set_foc(node, foc)
     _set_memo(node, None)
+    _set_holds(node, None)
     _set_printed(node, None)
     _set_simplified(node, None)
     _set_validation(node, None)
@@ -431,7 +442,14 @@ def eval_strategy(s: Strat, t: Term) -> Optional[Term]:
 
     The condition of ``IfThen(c, b)`` is run for success only: its term is
     thrown away, so inside it an insertion fills no context and a map or
-    ``Most`` stops at its first succeeding entry and rebuilds nothing.
+    ``Most`` stops at its first succeeding entry and rebuilds nothing.  A
+    condition whose syntax forces success (``never_fails``) is not run.  A
+    closed condition's success on an ``App`` subject is stored on the
+    condition node, in its ``holds`` map, the term as the key and a bool as
+    the value, once the run returns, so an exception is never stored.  The
+    map is emptied when it holds ``_MEMO_CAP`` answers and dies with its
+    node.  An open condition reads the environment, so it is run every time
+    and stores nothing.
 
     A repeated call returns the stored result, the same object: a closed node
     other than a leaf keeps a memo from an ``App`` subject, the term itself as
@@ -439,8 +457,9 @@ def eval_strategy(s: Strat, t: Term) -> Optional[Term]:
     fills it, on its own argument, after the open-strategy check and after
     evaluation returns, so an exception is never stored, and inner nodes,
     conditions and ``eval_strategy(td(s), t)`` leave the memo of ``s`` as it
-    was.  The memo lives as long as the node and holds terms only; it is
-    emptied when it holds ``_MEMO_CAP`` results.
+    was; a condition's answers go to its ``holds`` map instead.  The memo
+    lives as long as the node and holds terms only; it is emptied when it
+    holds ``_MEMO_CAP`` results.
     """
     if s.free:
         raise ValidationFailure(f"cannot evaluate open strategy (free {min(s.free)})")
@@ -531,8 +550,28 @@ def _eval(s: Strat, t: Term, env: Env, whole: bool) -> Optional[Term]:
                     new[k] = got
             return None if new is None else App(t.head, tuple(new))
         elif cls is IfThen:
-            if _eval(s.cond, t, env, False) is None:
-                return None
+            c = s.cond
+            if c.never_fails:
+                pass  # its syntax forces success: nothing to run
+            elif c.free or type(t) is not App:
+                # an open condition reads env; a variable subject keeps no
+                # memo, as in eval_strategy
+                if _eval(c, t, env, False) is None:
+                    return None
+            else:
+                # a closed condition's success on t, stored on it; see
+                # eval_strategy
+                holds = c.holds
+                if holds is None:
+                    holds = {}
+                    _set_holds(c, holds)
+                ok = holds.get(t)
+                if ok is None:
+                    if len(holds) >= _MEMO_CAP:
+                        holds.clear()
+                    ok = holds[t] = _eval(c, t, env, False) is not None
+                if not ok:
+                    return None
             s = s.body
         elif cls is SFail:
             return None

@@ -38,8 +38,9 @@ def psi(s: Strat, t: Term) -> PosCE:
     Every insertion is written once, at its absolute position, into one
     table, and the table is sorted once at the end.  An open strategy is
     rejected before translation starts: ``ValidationFailure`` names the
-    least free variable.  Unlike ``eval_strategy``, ψ runs an ``IfThen``
-    condition in full, into a table it then drops.
+    least free variable.  Unlike ``eval_strategy``, ψ runs every ``IfThen``
+    condition in full, into a table it then drops, and reads no answer
+    stored on the condition node, so the two stay independent.
     """
     if s.free:
         raise ValidationFailure(f"cannot translate open strategy (free {min(s.free)})")

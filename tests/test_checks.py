@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctxembed import strategy
 from ctxembed.checks import (
     GenConfig,
     _binder_bodies_progress,
@@ -344,6 +345,31 @@ def test_stabilization_suite_clean():
 
 def test_td_replay_suite_clean():
     assert check_td_replay(GenConfig(cases=5))["failures"] == []
+
+
+def test_a_wrong_stored_condition_answer_is_reported_by_both_oracles():
+    # Every closed condition the generated strategies gate on gets the wrong
+    # answer planted for every subject.  Evaluation reads it; ψ and the
+    # replay must not, or they would agree with the wrong evaluation.
+    cfg = GenConfig(signature={"a": 0, "f": 1, "g": 2}, cases=30)
+    assert check_homomorphism(cfg)["failures"] == [] and check_td_replay(cfg)["failures"] == []
+    held = [gen_strategy(cfg, i) for i in range(cfg.cases)]  # the suites meet these nodes
+    conds = {node.cond for s in held for node in nodes(s)
+             if isinstance(node, IfThen) and not node.cond.free and not node.cond.never_fails}
+    assert conds
+    subjects = terms_up_to_depth(cfg.signature, 3)
+    try:
+        for s in held:
+            strategy._set_memo(s, None)
+        for c in conds:
+            strategy._set_holds(c, {t: psi(c, t).is_fail for t in subjects})
+        assert check_homomorphism(cfg)["failures"]
+        assert check_td_replay(cfg)["failures"]
+    finally:
+        for s in held:
+            strategy._set_memo(s, None)
+        for c in conds:
+            strategy._set_holds(c, None)
 
 
 def test_replay_frozen_case():

@@ -33,6 +33,7 @@ from ctxembed.strategy import (
     eval_strategy,
     fresh_names,
     jump,
+    nodes,
     simplify,
     subst_var,
     validate,
@@ -894,9 +895,11 @@ def test_evaluated_outputs_leave_the_intern_table_as_they_found_it():
 
 
 def test_outputs_with_stored_results_are_freed_without_the_cycle_collector():
-    # a node's stored simplification, text and validation never lead back
-    # to the node, so dropping the last reference frees it at once
+    # a node's stored simplification, text, validation, evaluation memo and
+    # condition answers never lead back to the node, so dropping the last
+    # reference frees it, and every term only it held, at once
     cfg = GenConfig(seed=6)
+    terms = list(terms_up_to_depth(DEFAULT_SIGNATURE, 2))
     gc.collect()
     start = len(_TABLE)
     gc.disable()
@@ -912,8 +915,11 @@ def test_outputs_with_stored_results_are_freed_without_the_cycle_collector():
                         print_strategy(x)
                         validate(x)
                     stored += raw.simplified is not None
+                    for t in terms:
+                        eval_strategy(raw, t)
                     outs.append(raw)
-        assert len(_TABLE) > start + 1_000 and stored > 50
+        answers = sum(len(node.holds) for o in outs for node in nodes(o) if node.holds)
+        assert len(_TABLE) > start + 1_000 and stored > 50 and answers > 1_000
         del s, r, raw, out, x, outs
         engine_module._reduced.cache_clear()
         assert len(_TABLE) == start

@@ -25,6 +25,7 @@ from ctxembed.strategy import (
     Most,
     Mu,
     Strat,
+    SFail,
     SVar,
     ValidationFailure,
     _TABLE,
@@ -47,7 +48,7 @@ from ctxembed.strategy import (
 )
 from ctxembed.syntax import parse_strategy, parse_term, print_strategy, print_term
 from ctxembed.engine import combine, unify
-from ctxembed.terms import DEFAULT_SIGNATURE, App, Context, HOLE, MergePolicy, Var, depth
+from ctxembed.terms import DEFAULT_SIGNATURE, App, Context, HOLE, MergePolicy, Var, depth, match
 
 
 def a():
@@ -792,9 +793,53 @@ def test_a_closure_whose_evaluation_grows_as_a_tower_is_not_drawn():
     assert not validate(_closed(Mu("X", s))).monotone
 
 
+def _fresh_eval(s: Strat, t, env=None):
+    """Reference evaluation that stores and reads nothing: the rules of
+    ``eval_strategy`` as plain recursion, every condition run in full."""
+    env = {} if env is None else env
+    if isinstance(s, SFail):
+        return None
+    if isinstance(s, Ins):
+        return s.ctx.fill(t)
+    if isinstance(s, SVar):
+        body, defined, left = env[s.name]
+        return None if left == 0 else _fresh_eval(body, t, {**defined, s.name: (body, defined, left - 1)})
+    if isinstance(s, Guard):
+        return None if match(s.pattern, t) is None else _fresh_eval(s.body, t, env)
+    if isinstance(s, Choice):
+        got = _fresh_eval(s.left, t, env)
+        return got if got is not None else _fresh_eval(s.right, t, env)
+    if isinstance(s, Mu):
+        n = depth(t)
+        return None if n == 0 else _fresh_eval(s.body, t, {**env, s.var: (s.body, env, n - 1)})
+    if isinstance(s, IfThen):
+        return None if _fresh_eval(s.cond, t, env) is None else _fresh_eval(s.body, t, env)
+    if isinstance(s, Most):
+        if not isinstance(t, App):
+            return None
+        got = [_fresh_eval(s.body, c, env) for c in t.args]
+        if all(x is None for x in got):
+            return None
+        return App(t.head, tuple(c if x is None else x for c, x in zip(t.args, got)))
+    # a map: entries apply left to right to the running result
+    out, hit = t, False
+    for i, body in s.entries:
+        if i is None:
+            got = _fresh_eval(body, out, env)
+        elif isinstance(out, App) and 1 <= i <= len(out.args):
+            got = _fresh_eval(body, out.args[i - 1], env)
+            if got is not None:
+                got = App(out.head, out.args[: i - 1] + (got,) + out.args[i:])
+        else:
+            continue
+        if got is not None:
+            out, hit = got, True
+    return out if hit else None
+
+
 def _succeeds_exactly_when_evaluation_does(s: Strat) -> None:
     for t in _GROUND:
-        assert (strategy._eval(s, t, {}, False) is None) == (eval_strategy(s, t) is None), (s, t)
+        assert (strategy._eval(s, t, {}, False) is None) == (_fresh_eval(s, t) is None), (s, t)
 
 
 @settings(max_examples=300, deadline=None)
@@ -916,7 +961,7 @@ def test_an_exception_is_never_stored(monkeypatch):
     assert eval_strategy(s, t) == list2(t, App("memo_raise"))
 
 
-def test_inner_nodes_and_conditions_keep_no_memo():
+def test_inner_nodes_keep_no_evaluation_memo():
     s = _memo_strategy("memo_inner")
     cond = _memo_strategy("memo_cond")
     for root in (td(s), IfThen(cond, s)):
@@ -927,8 +972,9 @@ def test_inner_nodes_and_conditions_keep_no_memo():
 
 
 def test_threads_evaluating_one_node_get_identical_results():
-    s = _memo_strategy("memo_threads")
-    want = [strategy._eval(s, t, {}, True) for t in _GROUND]
+    # a gated node: threads race on the memo and on the condition's map
+    s = IfThen(_memo_strategy("memo_threads_if"), _memo_strategy("memo_threads"))
+    want = [_fresh_eval(s, t) for t in _GROUND]
     got: list[list] = [[] for _ in range(4)]
 
     def work(out: list) -> None:
@@ -951,7 +997,7 @@ def test_threads_evaluating_one_node_get_identical_results():
 
 def _memo_agrees_with_a_fresh_evaluation(s: Strat) -> None:
     for t in _GROUND:
-        fresh = strategy._eval(s, t, {}, True)
+        fresh = _fresh_eval(s, t)
         assert eval_strategy(s, t) == fresh and eval_strategy(s, t) == fresh, (s, t)
 
 
@@ -991,6 +1037,122 @@ def test_copied_and_unpickled_strategies_are_the_interned_node():
     assert again.memo is None and again.printed is None
     assert again.simplified is None and again.validation is None
     assert again is Choice(_memo_strategy("memo_pickle"), FAIL_S) and print_strategy(again) == shown
+
+
+# ---------------------------------------------------------------------------
+# the condition map
+# ---------------------------------------------------------------------------
+
+
+def _gated(name: str) -> tuple[Strat, Strat]:
+    """A gated strategy no other test builds, and its condition: td of a
+    guard, closed, failing on terms without a ``g``."""
+    cond = _memo_strategy(name + "_if")
+    return IfThen(cond, _memo_strategy(name)), cond
+
+
+def test_a_closed_condition_runs_once_per_term(monkeypatch):
+    s, cond = _gated("holds_once")
+    inner = strategy._eval
+    runs: list = []
+
+    def spy(node, t, env, whole):
+        if node is cond:
+            runs.append(t)
+        return inner(node, t, env, whole)
+
+    monkeypatch.setattr(strategy, "_eval", spy)
+    for t in _GROUND:
+        want = _fresh_eval(s, t)
+        for _ in range(2):
+            assert strategy._eval(s, t, {}, True) == want  # no root memo
+    assert runs == list(_GROUND)
+    assert cond.holds == {t: _fresh_eval(cond, t) is not None for t in _GROUND}
+    assert any(cond.holds.values()) and not all(cond.holds.values())
+
+
+def test_a_condition_whose_syntax_forces_success_is_not_run(monkeypatch):
+    cond = Choice(_memo_strategy("holds_never_if"), Ins(TAU_I))
+    s = IfThen(cond, _memo_strategy("holds_never"))
+    assert cond.never_fails
+    entered = []
+    inner = strategy._eval
+
+    def spy(node, t, env, whole):
+        entered.append(node)
+        return inner(node, t, env, whole)
+
+    monkeypatch.setattr(strategy, "_eval", spy)
+    for t in _GROUND:
+        assert strategy._eval(s, t, {}, True) == _fresh_eval(s, t)
+    assert cond not in entered and cond.holds is None
+
+
+def test_only_a_closed_condition_stores_its_answers():
+    # mu X. (if @1.X then ins <list([], holds_open)>) + (a ; ins <list([], i)>):
+    # the condition reads the binding of X
+    tag = Context(list2(HOLE, App("holds_open")))
+    open_cond = jump((1,), SVar("X"))
+    s = Mu("X", Choice(IfThen(open_cond, Ins(tag)), Guard(a(), Ins(TAU_I))))
+    # mu X. if (f(?x) ; ins <...>) + (g(?x, ?y) ; ins <...>) then @1.X + ins <...>:
+    # a closed condition under a binder
+    closed_cond = Choice(Guard(f(Var("x")), Ins(Context(list2(HOLE, App("holds_closed_f"))))),
+                         Guard(g(Var("x"), Var("y")), Ins(Context(list2(HOLE, App("holds_closed_g"))))))
+    r = Mu("X", IfThen(closed_cond, Choice(jump((1,), SVar("X")), Ins(Context(list2(HOLE, App("holds_closed")))))))
+    for t in _GROUND:
+        assert eval_strategy(s, t) == _fresh_eval(s, t), t
+        assert eval_strategy(r, t) == _fresh_eval(r, t), t
+    assert eval_strategy(s, g(a(), f(a()))) == list2(g(a(), f(a())), App("holds_open"))
+    assert eval_strategy(s, g(b(), f(a()))) is None
+    assert open_cond.holds is None
+    assert closed_cond.holds and all(closed_cond.holds[t] == (_fresh_eval(closed_cond, t) is not None)
+                                     for t in closed_cond.holds)
+
+
+def test_the_condition_map_holds_at_most_its_cap():
+    s, cond = _gated("holds_cap")
+    terms = terms_up_to_depth(DEFAULT_SIGNATURE, 3)
+    assert len(terms) > 2 * strategy._MEMO_CAP
+    for t in terms:
+        assert strategy._eval(s, t, {}, True) is _fresh_eval(s, t)
+        assert 1 <= len(cond.holds) <= strategy._MEMO_CAP
+    # the map was emptied and refilled, and still answers correctly
+    for t in terms[-10:]:
+        assert cond.holds[t] == (_fresh_eval(cond, t) is not None)
+
+
+def test_an_exception_mid_condition_is_never_stored(monkeypatch):
+    s, cond = _gated("holds_raise")
+    guard = cond.body.left  # td(u ; ...) is mu X. (u ; ...) + most(X)
+    t = g(a(), b())
+    inner = strategy._eval
+    raised: list = []
+
+    def once(node, u, env, whole):
+        if node is guard and not raised:
+            raised.append(u)
+            raise RuntimeError("interrupted")
+        return inner(node, u, env, whole)
+
+    monkeypatch.setattr(strategy, "_eval", once)
+    with pytest.raises(RuntimeError, match="^interrupted$"):
+        eval_strategy(s, t)
+    assert raised == [t] and t not in (cond.holds or {})
+    assert eval_strategy(s, t) == _fresh_eval(s, t) == list2(t, App("holds_raise"))
+    assert cond.holds == {t: True}
+
+
+def test_copies_and_pickles_of_a_condition_carry_no_stored_answers():
+    s, cond = _gated("holds_pickle")
+    t = g(a(), b())
+    eval_strategy(s, t)
+    assert cond.holds == {t: True}
+    data = pickle.dumps(cond)
+    assert copy.copy(cond) is cond and copy.deepcopy(cond) is cond and pickle.loads(data) is cond
+    del s, cond
+    gc.collect()
+    again = pickle.loads(data)
+    assert again.holds is None and again is _memo_strategy("holds_pickle_if")
 
 
 def _simple_iff_kept(s: Strat) -> None:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctxembed import strategy
 from ctxembed.checks import GenConfig, _gen_fixed_point, gen_strategy, gen_term
 from ctxembed.engine import combine, unify
 from ctxembed.posce import FAIL_PCE, PosCE, apply_pos_ce, combine_pos, eq_pos, unify_pos
@@ -383,3 +384,19 @@ def test_every_open_strategy_is_rejected(s, name, where, t):
     s = (Choice(s, var), Choice(var, s), IfThen(Conj(((1, s), (2, var))), s), IfThen(s, var))[where]
     with pytest.raises(ValidationFailure, match=rf"^cannot translate open strategy \(free {name}\)$"):
         psi(s, t)
+
+
+def test_psi_reads_no_stored_condition_answer():
+    # wrong answers planted in a condition's map change evaluation, not ψ
+    cond = jump((1,), Guard(a(), Ins(Context(f(HOLE)))))
+    s = IfThen(cond, Ins(Context(App("psi_planted", (HOLE,)))))
+    yes, no = g(a(), b()), g(b(), a())
+    images = {t: psi(s, t) for t in (yes, no)}
+    assert apply_pos_ce(images[yes], yes) == App("psi_planted", (yes,)) and images[no] == FAIL_PCE
+    strategy._set_holds(cond, {yes: False, no: True})
+    try:
+        assert strategy._eval(s, yes, {}, True) is None
+        assert strategy._eval(s, no, {}, True) == App("psi_planted", (no,))
+        assert {t: psi(s, t) for t in (yes, no)} == images
+    finally:
+        strategy._set_holds(cond, None)
