@@ -1024,19 +1024,21 @@ def test_copied_and_unpickled_strategies_are_the_interned_node():
         assert copy.deepcopy(node) is node
         assert pickle.loads(pickle.dumps(node)) is node
     # the pickle holds the fields only: a node unpickled after the original
-    # died is built again, with no memo, no printed text and no stored
-    # simplification or validation
-    s = Choice(_memo_strategy("memo_pickle"), FAIL_S)
+    # died is built again, with no memo, no condition answers, no printed
+    # text and no stored simplification or validation
+    s = Choice(IfThen(_memo_strategy("memo_pickle_if"), _memo_strategy("memo_pickle")), FAIL_S)
     eval_strategy(s, g(a(), b()))
     assert s.memo and simplify(s) is s.simplified is s.left and validate(s) is s.validation
+    assert s.left.cond.holds == {g(a(), b()): True}
     data, shown = pickle.dumps(s), print_strategy(s)
     assert copy.copy(s) is s and copy.deepcopy(s) is s and pickle.loads(data) is s
     del s
     gc.collect()
     again = pickle.loads(data)
-    assert again.memo is None and again.printed is None
+    assert again.memo is None and again.printed is None and again.left.cond.holds is None
     assert again.simplified is None and again.validation is None
-    assert again is Choice(_memo_strategy("memo_pickle"), FAIL_S) and print_strategy(again) == shown
+    assert again is Choice(IfThen(_memo_strategy("memo_pickle_if"), _memo_strategy("memo_pickle")), FAIL_S)
+    assert print_strategy(again) == shown
 
 
 # ---------------------------------------------------------------------------
@@ -1140,19 +1142,6 @@ def test_an_exception_mid_condition_is_never_stored(monkeypatch):
     assert raised == [t] and t not in (cond.holds or {})
     assert eval_strategy(s, t) == _fresh_eval(s, t) == list2(t, App("holds_raise"))
     assert cond.holds == {t: True}
-
-
-def test_copies_and_pickles_of_a_condition_carry_no_stored_answers():
-    s, cond = _gated("holds_pickle")
-    t = g(a(), b())
-    eval_strategy(s, t)
-    assert cond.holds == {t: True}
-    data = pickle.dumps(cond)
-    assert copy.copy(cond) is cond and copy.deepcopy(cond) is cond and pickle.loads(data) is cond
-    del s, cond
-    gc.collect()
-    again = pickle.loads(data)
-    assert again.holds is None and again is _memo_strategy("holds_pickle_if")
 
 
 def _simple_iff_kept(s: Strat) -> None:
