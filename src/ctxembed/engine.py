@@ -25,35 +25,47 @@ Each call first builds one closure table, in one walk over both inputs
 (``_table``): it numbers every strategy either input can reach, unfolding
 each fixed point once, and stores phi of every numbered node as a bitset; a
 measure is a few popcounts and bit tests on that table.  The same walk gives
-rules 8a/8b their unfoldings and the names their new binders must avoid, and
-``phi`` is that walk from one strategy.
+rules 8a/8b their unfoldings and, for each name, the bitset of the fixed
+points and variables that carry it.  ``phi`` walks one strategy's nodes and
+unfoldings without building a table.
 
 The inputs are taken as they are given, neither renamed apart nor required
 to be linear.  Every sub-problem is closed: a rule descends only through
 constructors that bind nothing, and rules 8a/8b replace a fixed point by its
 closed unfolding.  So no input binder can capture a variable of the output,
-and each new binder takes a name neither input uses.
+and a binder opened for the pair (s, r) under a memory takes the first of
+``Z``, ``Z2``, ... that its pair does not reach (no fixed point or variable
+in phi of s or of r carries it) and no binder of the memory takes.  A
+binder's name is thus a function of its sub-problem, not of what the call,
+or an earlier call, named before.
 
 A result about one strategy node is stored on that node (``strategy``
 keeps a node's simplification and validation there), and a result keyed by
-anything else lives in a ``functools.lru_cache``.  So a repeated call is
-answered from ``_reduced``, an ``lru_cache`` of at most 16 entries from
-(left, right, policy, arity bound) to the raw, unsimplified output of the
-reduction; when full it drops the entry used least recently.  Strategy nodes
-are interned, so equal inputs are one object and a lookup compares
-identities.  An ``lru_cache`` stores only a call that returned: a hit means
-both inputs passed the admissibility gate and every measure of that
-reduction decreased, and a rejected input or a stopped reduction raises
-again on every call.  A call with a trace runs the same function unwrapped,
-so it always reduces and leaves the cache as it was.  The cache keeps its
-inputs and outputs alive until it drops them.  ``combine`` reaches it
-through ``unify``, so ``combine`` after ``unify`` of the same pair reduces
-once.
+anything else lives in a bounded memo.  The engine's memo is ``_solved``:
+at most ``_SOLVED_CAP`` entries from (left, right, policy, arity bound) to
+the raw, unsimplified output of a pair solved under an empty memory; when
+full it drops the entry used least recently, and a lock keeps each lookup
+and store whole when threads share it.  Such a pair has no output
+binder around it, so its output is closed and depends on the pair alone,
+and ``solve`` looks each one up before stepping it and stores its output
+once its rule has finished, if the rule opened sub-problems: a pair that a
+rule answers at once costs one step to solve again, and is stored only as
+the root.  The root pair is one of them: ``unify`` looks
+it up after the admissibility gate and before building the table, so a
+repeated call builds nothing.  Strategy nodes are interned, so equal inputs
+are one object and a lookup compares identities.  Only a finished pair is
+stored: a rejected input or a stopped reduction raises again on every
+call.  A hit still passes the measure check of the rule that opened it.  A
+call with a trace neither reads nor stores the memo, so it reduces every
+pair.  The memo keeps its pairs and outputs alive until it drops them.
+``combine`` reaches it through ``unify``, so ``combine`` after ``unify`` of
+the same pair reduces once, and a nested build reduces once each pair that
+an earlier call already solved under an empty memory.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import threading
 from typing import Callable, Iterator, Optional, Union
 
 from ctxembed.strategy import (
@@ -69,7 +81,6 @@ from ctxembed.strategy import (
     Strat,
     SVar,
     ValidationFailure,
-    fresh_names,
     simplify as simplify_strategy,
     subst_var,
     validate,
@@ -83,6 +94,7 @@ class EngineError(RuntimeError):
 
 _PHI_CAP = 100_000
 _MAX_STEPS = 1_000_000
+_SOLVED_CAP = 256
 
 Measure = tuple[int, tuple[int, int], tuple[int, int]]
 # A rule's output: finished, or a builder and the sub-problems (one or more)
@@ -90,6 +102,29 @@ Measure = tuple[int, tuple[int, int], tuple[int, int]]
 # is a pair, the memory it is solved under and where its result sits.
 Problem = tuple[Strat, Strat, frozenset, tuple[int, ...]]
 Output = Union[Strat, tuple[Callable[..., Strat], tuple[Problem, ...]]]
+# (left, right, policy, arity bound) of a pair solved under an empty memory
+Key = tuple[Strat, Strat, MergePolicy, int]
+
+# in the order of last use, the least recent first
+_solved: dict[Key, Strat] = {}
+_SOLVED_LOCK = threading.Lock()
+
+
+def _recall(key: Key) -> Optional[Strat]:
+    """The stored output of ``key``, now the entry used most recently."""
+    out = _solved.get(key)
+    if out is not None:
+        with _SOLVED_LOCK:
+            if _solved.pop(key, None) is not None:
+                _solved[key] = out
+    return out
+
+
+def _store(key: Key, out: Strat) -> None:
+    with _SOLVED_LOCK:
+        _solved[key] = out
+        dropped = _solved.pop(next(iter(_solved))) if len(_solved) > _SOLVED_CAP else None
+    del dropped  # what only the dropped entry held is freed outside the lock
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +138,22 @@ def phi(s: Strat) -> frozenset:
     Fixed points contribute both their body and their one-step unfolding;
     the result is finite because unfolding only ever reintroduces ``s``.
     """
-    return frozenset(_table(s)[0])
+    seen, work = {s}, [s]
+    while work:
+        node = work.pop()
+        kids = node.kids
+        if isinstance(node, Mu):
+            kids += (subst_var(node.body, node.var, node),)
+        for kid in kids:
+            if kid not in seen:
+                seen.add(kid)
+                work.append(kid)
+    return frozenset(seen)
 
 
-def _table(*roots: Strat) -> tuple[dict, list[int], dict, int, int, set]:
+def _table(*roots: Strat) -> tuple[dict, list[int], dict, int, int, dict]:
     """The closure table of everything ``roots`` reach, from one walk:
-    (number, closure, unfoldings, mus, svars, taken) as ``_Engine`` keeps them.
+    (number, closure, unfoldings, mus, svars, named) as ``_Engine`` keeps them.
 
     The walk numbers a node when it first meets it and gives a fixed point
     its one-step unfolding there, as one more edge out.  It is Tarjan's
@@ -124,7 +169,7 @@ def _table(*roots: Strat) -> tuple[dict, list[int], dict, int, int, set]:
     """
     number: dict[Strat, int] = {}
     unfoldings: dict[Mu, Strat] = {}
-    taken: set[str] = set()
+    named: dict[str, int] = {}
     mus = svars = 0  # bitsets of the fixed points and of the variables
     low: list[int] = []
     closure: list[int] = []
@@ -144,10 +189,10 @@ def _table(*roots: Strat) -> tuple[dict, list[int], dict, int, int, set]:
                     unfoldings[node] = unfolding = subst_var(node.body, node.var, node)
                     kids += (unfolding,)
                     mus |= 1 << k
-                    taken.add(node.var)
+                    named[node.var] = named.get(node.var, 0) | 1 << k
                 elif isinstance(node, SVar):
                     svars |= 1 << k
-                    taken.add(node.name)
+                    named[node.name] = named.get(node.name, 0) | 1 << k
                 low.append(k)
                 closure.append(0)
                 stack.append(k)
@@ -178,7 +223,7 @@ def _table(*roots: Strat) -> tuple[dict, list[int], dict, int, int, set]:
                 closure[u] |= closure[v]
                 if low[v] < low[u]:
                     low[u] = low[v]
-    return number, closure, unfoldings, mus, svars, taken
+    return number, closure, unfoldings, mus, svars, named
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +251,8 @@ class _Engine:
     every node either input reaches, ``closure[k]`` is phi of node ``k`` as a
     bitset over those numbers, ``unfoldings`` maps each fixed point to its
     one-step unfolding, ``mus`` and ``svars`` are the bitsets of the fixed
-    points and of the variables, and ``taken`` holds every variable name of
-    both inputs plus the binder names made so far; ``binder_names`` draws
-    the next of those.
+    points and of the variables, and ``named`` maps each name to the bitset
+    of the fixed points and variables that carry it.
     """
 
     def __init__(
@@ -219,10 +263,9 @@ class _Engine:
         self.arity_bound = arity_bound
         self.trace = trace
         self.steps = 0
-        self.number, self.closure, self.unfoldings, self.mus, self.svars, self.taken = _table(
+        self.number, self.closure, self.unfoldings, self.mus, self.svars, self.named = _table(
             left, right
         )
-        self.binder_names = fresh_names("Z", self.taken)
 
     def measure(self, left: Strat, right: Strat, memory: frozenset) -> Measure:
         """(lambda, delta(left), delta(right)) of a pair.
@@ -245,46 +288,61 @@ class _Engine:
     def solve(self, s: Strat, r: Strat) -> Strat:
         """The unification of ``s`` and ``r``.  ``waiting`` holds the rules
         whose sub-problems are not all solved: (rule, measure and place of the
-        pair it fired on, the trace's opened children, builder, sub-problems,
-        results so far).  A place is the pair's position as the trace writes
-        it, ``eps`` at the root; a child's is its parent's with the child's
-        ``at`` appended.  Without a trace, the place stays ``eps`` and the
-        opened children None."""
+        pair it fired on, the trace's opened children, the pair's memo key,
+        builder, sub-problems, results so far).  A place is the pair's
+        position as the trace writes it, ``eps`` at the root; a child's is its
+        parent's with the child's ``at`` appended.  Without a trace, the place
+        stays ``eps`` and the opened children None.  A pair has a key when
+        it is solved under an empty memory and without a trace: it is looked
+        up before it is stepped, and its output is stored once its rule has
+        finished, if the rule opened sub-problems or the pair is the
+        root."""
+        policy, arity_bound, memo = self.policy, self.arity_bound, self.trace is None
         mem: frozenset = frozenset()
         focus, place = self.measure(s, r, mem), "eps"
         waiting: list[tuple] = []
         while True:
-            if self.steps >= _MAX_STEPS:
-                raise EngineError("reduction exceeded the step cap")
-            self.steps += 1
-            rule, out = self.step(s, r, mem)
-            opened: Optional[list] = None
-            if self.trace is not None:
-                opened = []
-                self.trace.append(
-                    {
-                        "rule": rule,
-                        "path": place,
-                        "lambda": focus[0],
-                        "dl": list(focus[1]),
-                        "dr": list(focus[2]),
-                        "mem": len(mem),
-                        "children": opened,
-                    }
-                )
-            if type(out) is tuple:
-                waiting.append((rule, focus, place, opened, *out, []))
-            else:
-                while waiting:
-                    results = waiting[-1][6]
-                    results.append(out)
-                    if len(results) < len(waiting[-1][5]):
-                        break
-                    out = waiting.pop()[4](*results)
-                else:
+            key = (s, r, policy, arity_bound) if memo and not mem else None
+            # ``unify`` has looked the root up already
+            out = _recall(key) if key is not None and waiting else None
+            if out is None:
+                if self.steps >= _MAX_STEPS:
+                    raise EngineError("reduction exceeded the step cap")
+                self.steps += 1
+                rule, out = self.step(s, r, mem)
+                opened: Optional[list] = None
+                if self.trace is not None:
+                    opened = []
+                    self.trace.append(
+                        {
+                            "rule": rule,
+                            "path": place,
+                            "lambda": focus[0],
+                            "dl": list(focus[1]),
+                            "dr": list(focus[2]),
+                            "mem": len(mem),
+                            "children": opened,
+                        }
+                    )
+                if type(out) is tuple:
+                    waiting.append((rule, focus, place, opened, key, *out, []))
+                    out = None
+                elif key is not None and not waiting:
+                    _store(key, out)
+            # a finished output goes to the rule that waits for it
+            while out is not None:
+                if not waiting:
                     return out
+                results = waiting[-1][7]
+                results.append(out)
+                if len(results) < len(waiting[-1][6]):
+                    break
+                done = waiting.pop()
+                out = done[5](*results)
+                if done[4] is not None:
+                    _store(done[4], out)
             # the next sub-problem of the rule on top
-            rule, focus, place, opened, _, subs, results = waiting[-1]
+            rule, focus, place, opened, _, _, subs, results = waiting[-1]
             s, r, mem, at = subs[len(results)]
             kid = self.measure(s, r, mem)
             if not kid < focus:
@@ -331,11 +389,17 @@ class _Engine:
 
     def bind(self, s: Strat, r: Strat, mem: frozenset, left: Strat, right: Strat) -> Output:
         """The variable of the binder opened for the pair (s, r), or a new
-        binder for it whose body solves (left, right), named when it opens."""
+        binder for it whose body solves (left, right).  The new binder takes
+        the first of Z, Z2, ... that no fixed point or variable reachable
+        from s or r carries and no binder in the memory takes."""
         for a, b, z in mem:
             if a == s and b == r:
                 return SVar(z)
-        z = next(self.binder_names)
+        used = {z for *_, z in mem}
+        reach = self.closure[self.number[s]] | self.closure[self.number[r]]
+        z, k = "Z", 2
+        while z in used or self.named.get(z, 0) & reach:
+            z, k = f"Z{k}", k + 1
         return lambda body: Mu(z, body), ((left, right, mem | {(s, r, z)}, (1,)),)
 
     def step(self, s: Strat, r: Strat, mem: frozenset) -> tuple[str, Output]:
@@ -408,17 +472,6 @@ def _require_valid(s: Strat, side: str) -> None:
         raise ValidationFailure(f"{side} strategy has a root map entry that is not an insertion")
 
 
-@lru_cache(maxsize=16)
-def _reduced(
-    s: Strat, r: Strat, policy: MergePolicy, arity_bound: int, trace: Optional[list] = None
-) -> Strat:
-    """The raw output of the reduction of ``s`` and ``r``, once both pass
-    the admissibility gate."""
-    _require_valid(s, "left")
-    _require_valid(r, "right")
-    return _Engine(policy, arity_bound, s, r, trace).solve(s, r)
-
-
 def unify(
     s: Strat,
     r: Strat,
@@ -430,10 +483,11 @@ def unify(
 ) -> Strat:
     """The strategy that performs both ``s`` and ``r`` where both succeed."""
     arity_bound = max_arity(DEFAULT_SIGNATURE if signature is None else signature)
-    if trace is None:
-        out = _reduced(s, r, policy, arity_bound)
-    else:
-        out = _reduced.__wrapped__(s, r, policy, arity_bound, trace)
+    _require_valid(s, "left")
+    _require_valid(r, "right")
+    out = None if trace is not None else _recall((s, r, policy, arity_bound))
+    if out is None:
+        out = _Engine(policy, arity_bound, s, r, trace).solve(s, r)
     return simplify_strategy(out) if simplify_output else out
 
 

@@ -611,8 +611,8 @@ class Validation:
     monotone, well-founded maps and insertions as the only root map entries.
     The engine needs neither linearity nor renaming its inputs apart: every
     sub-problem it opens is a pair of closed strategies, so an input's binder
-    can capture nothing, and the binders it makes take names neither input
-    uses.
+    can capture nothing, and each binder it makes takes a name its pair does
+    not reach.
     """
 
     closed: bool

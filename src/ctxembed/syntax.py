@@ -27,16 +27,16 @@ shared within the printed one is worked out once per setting (see
 ``print_strategy``) and its text copied wherever it occurs again, and a
 sub-strategy that already holds a stored text is copied from it.
 
-Two memos answer a repeated call, by one rule: a result about one node
-lives on that node, and a result keyed by anything else lives in a
-``functools.lru_cache``.  ``print_strategy`` stores its text on the strategy
-node it printed, so the text lives and dies with its node; a larger print
-copies that text wherever the node occurs in it.  ``parse_strategy`` is an
-``lru_cache`` from text to strategy of at most 16 entries, which drops the
-one used least recently when full and keeps the strategies it holds alive;
-it stores only a parse that succeeded, so malformed text raises on every
-call.  Neither memo fills the other: printing stores nothing in the parse
-cache, and parsing stores no text on a node.
+Two memos answer a repeated call, by one rule: a result about one node lives
+on that node, and a result keyed by anything else lives in a bounded memo,
+here a ``functools.lru_cache``.  ``print_strategy`` stores its text on the
+strategy node it printed, so the text lives and dies with its node; a larger
+print copies that text wherever the node occurs in it.  ``parse_strategy``
+is an ``lru_cache`` from text to strategy of at most 16 entries, which drops
+the one used least recently when full and keeps the strategies it holds
+alive; it stores only a parse that succeeded, so malformed text raises on
+every call.  Neither memo fills the other: printing stores nothing in the
+parse cache, and parsing stores no text on a node.
 
 The JSON encoding (``to_json``) is a table, ``{"nodes": [...]}``: one row
 per distinct node, written by the children-first pass, so children come

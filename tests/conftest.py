@@ -9,5 +9,5 @@ from ctxembed import engine, syntax
 def empty_module_memos():
     # a test that counts reductions or parses, caps them or watches the
     # intern table must not see what an earlier test left in a memo
-    engine._reduced.cache_clear()
+    engine._solved.clear()
     syntax.parse_strategy.cache_clear()

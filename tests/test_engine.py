@@ -1,6 +1,8 @@
 """The prioritized reduction system that unifies two strategies."""
 
 import gc
+import sys
+import threading
 from collections import Counter
 from dataclasses import fields
 
@@ -29,7 +31,6 @@ from ctxembed.strategy import (
     ValidationFailure,
     _TABLE,
     alpha_eq,
-    bound_vars,
     eval_strategy,
     fresh_names,
     jump,
@@ -39,7 +40,7 @@ from ctxembed.strategy import (
     validate,
 )
 from ctxembed.syntax import parse_strategy, print_strategy, print_term
-from ctxembed.terms import DEFAULT_SIGNATURE, HOLE, App, Context, MergePolicy, Var, merge
+from ctxembed.terms import DEFAULT_SIGNATURE, HOLE, App, Context, MergePolicy, Var, max_arity, merge
 from ctxembed.translate import psi
 
 
@@ -102,6 +103,17 @@ def _reachable(s) -> frozenset:
             if isinstance(node, Mu):
                 work.append(subst_var(node.body, node.var, node))
     return frozenset(seen)
+
+
+def test_phi_of_a_chain_past_the_table_cap():
+    # phi walks nodes and their unfoldings and builds no closure table, so
+    # it has no size cap and its memory grows linearly with the chain
+    n = 100_000
+    s = parse_strategy("ins <[]>")
+    for _ in range(n):
+        s = Guard(a(), s)
+    got = phi(s)
+    assert len(got) == n + 1 and s in got and s.body.body in got
 
 
 def _check_table(s, r) -> int:
@@ -272,16 +284,39 @@ def test_fresh_names_avoid_input_binders():
     assert got == Mu("Z2", jump((1,), SVar("Z2")))
 
 
-def test_binder_names_are_those_fresh_name_draws_one_by_one():
-    # the engine resumes its scan where the last name was drawn; the inputs
-    # take Z, Z3 and Z5, so the draws skip a gap the cursor must not reuse
+def test_a_new_binder_takes_the_first_name_its_pair_does_not_reach(monkeypatch):
+    # each binder the engine opens for (s, r) under a memory takes the first
+    # of Z, Z2, ... that no fixed point or variable reachable from s or r
+    # carries and no binder of the memory takes; the inputs take Z, Z3 and
+    # Z5, which only the pairs that reach them skip
+    original = engine_module._Engine.bind
+    opened = []
+
+    def recorded(self, s, r, mem, left, right):
+        out = original(self, s, r, mem, left, right)
+        if type(out) is tuple:
+            ((_, _, inner, _),) = out[1]
+            ((_, _, z),) = inner - mem
+            opened.append((s, r, mem, z))
+        return out
+
+    monkeypatch.setattr(engine_module._Engine, "bind", recorded)
     s = parse_strategy("mu Z. (a ; ins <f([])>) + @1.Z")
     r = parse_strategy("mu Z3. (mu Z5. (f(?x) ; ins <f([])>) + most(Z5)) + @1.Z3")
-    inputs = bound_vars(s) | bound_vars(r)
-    made = bound_vars(unify(s, r, simplify_output=False)) - inputs
-    taken = set(inputs)
-    assert len(made) > 3
-    assert made == {next(fresh_names("Z", taken)) for _ in made}
+    unify(s, r, simplify_output=False)
+    assert {"Z", "Z2", "Z4", "Z6"} <= {z for *_, z in opened}
+    cfg = GenConfig(seed=21)
+    for i in range(30):
+        a, b = gen_strategy(cfg, 2 * i), gen_strategy(cfg, 2 * i + 1)
+        combine(combine(a, b, simplify_output=False), b, simplify_output=False)
+    assert len(opened) > 100
+    # a name is taken again by other sub-problems, unlike a call-wide draw
+    assert len({z for *_, z in opened}) < len(opened)
+    for s, r, mem, z in opened:
+        reached = _reachable(s) | _reachable(r)
+        taken = {x.var for x in reached if isinstance(x, Mu)} | {x.name for x in reached if isinstance(x, SVar)}
+        taken |= {name for *_, name in mem}
+        assert z == next(fresh_names("Z", taken))
 
 
 def test_identical_binder_names_are_separated():
@@ -330,7 +365,7 @@ def test_worked_example_raw_has_two_vacuous_binders():
 
     def collect(s):
         if isinstance(s, Mu):
-            binders.append(s.var)
+            binders.append(s)
             collect(s.body)
         elif isinstance(s, Choice):
             collect(s.left)
@@ -345,7 +380,11 @@ def test_worked_example_raw_has_two_vacuous_binders():
                 collect(body)
 
     collect(raw)
-    assert binders.count("Z2") == 1 and binders.count("Z3") == 1
+    # besides the inputs' X and X', the root binder and two whose variable
+    # does not occur in their body
+    made = [b for b in binders if b.var not in ("X", "X'")]
+    assert len(made) == 3
+    assert sum(b.var not in b.body.free for b in made) == 2
 
 
 def test_worked_example_evaluation():
@@ -727,7 +766,6 @@ def test_unify_and_combine_reach_10000_levels():
 # the unification memo
 # ---------------------------------------------------------------------------
 
-
 def _count_reductions(monkeypatch) -> list:
     """Each ``_Engine`` that ``unify`` builds from now on, one per reduction."""
     made = []
@@ -749,13 +787,17 @@ def _unify_and_combine(s, r) -> list:
     ]
 
 
+def _key(s, r, policy=MergePolicy.NEST) -> tuple:
+    return (s, r, policy, max_arity(DEFAULT_SIGNATURE))
+
+
 def test_a_repeated_pair_is_reduced_once(monkeypatch):
     made = _count_reductions(monkeypatch)
     first = _unify_and_combine(XI, XI_P)
     assert len(made) == 2  # one reduction per merge policy
     again = _unify_and_combine(XI, XI_P)
     assert len(made) == 2
-    engine_module._reduced.cache_clear()
+    engine_module._solved.clear()
     fresh = _unify_and_combine(XI, XI_P)
     assert len(made) == 4
     assert all(x is y is z for row in zip(first, again, fresh) for x, y, z in zip(*row))
@@ -766,18 +808,139 @@ def test_a_repeated_pair_is_reduced_once(monkeypatch):
     assert len(made) == 6
 
 
+def test_a_solved_sub_problem_is_not_stepped_again(monkeypatch):
+    # rule 5a splits (s1 + s2, r) into (s1, r) and (s2, r), both under an
+    # empty memory; once (s1, r) is solved, the split steps only (s2, r)
+    made = _count_reductions(monkeypatch)
+    s1, s2, r = XI, Guard(U, Ins(SIGMA)), XI_P
+    whole = unify(Choice(s1, s2), r, simplify_output=False)
+    cold = made[-1].steps
+    engine_module._solved.clear()
+    part = unify(s1, r, simplify_output=False)
+    saved = made[-1].steps
+    measured = []
+    original = engine_module._Engine.measure
+
+    def recorded(self, left, right, memory):
+        measured.append((left, right))
+        return original(self, left, right, memory)
+
+    monkeypatch.setattr(engine_module._Engine, "measure", recorded)
+    assert unify(Choice(s1, s2), r, simplify_output=False) is whole
+    assert made[-1].steps == cold - saved and saved > 10
+    # the hit still passes the measure check of the split that opened it
+    assert (s1, r) in measured
+    # (s1, r) is stored as the split solved it, so asking for it is a root hit
+    engine_module._solved.clear()
+    unify(Choice(s1, s2), r, simplify_output=False)
+    built = len(made)
+    assert unify(s1, r, simplify_output=False) is part and len(made) == built
+
+
+def test_a_root_hit_builds_no_engine(monkeypatch):
+    made = _count_reductions(monkeypatch)
+    out = unify(XI, XI_P)
+    assert len(made) == 1
+    for _ in range(3):
+        assert unify(XI, XI_P) is out and combine(XI, XI_P) is combine(XI, XI_P)
+    assert len(made) == 1
+
+
 def test_a_traced_call_reduces_and_records_the_same_steps(monkeypatch):
     want: list = []
     out = unify(XI, XI_P, trace=want)
-    assert engine_module._reduced.cache_info().currsize == 0  # a traced call stores nothing
+    assert not engine_module._solved  # a traced call stores nothing
     assert unify(XI, XI_P) is out
+    stored = list(engine_module._solved.items())
+    assert _key(XI, XI_P) in engine_module._solved
     made = _count_reductions(monkeypatch)
     for op in (unify, combine):
         trace: list = []
         op(XI, XI_P, trace=trace)
-        assert trace == want
+        assert trace == want  # every step again: nothing was read
     assert len(made) == 2
+    # nor was anything stored, or used: the order of the entries is as it was
+    assert list(engine_module._solved.items()) == stored
     assert combine(XI, XI_P) is combine(XI, XI_P, trace=[])
+
+
+def test_an_unfinished_pair_stores_nothing(monkeypatch):
+    # (s1, r) finishes before (s2, r) stops the reduction; the split that
+    # waits on both never finishes, so only (s1, r) is stored (its guarded
+    # body, a pair answered at once, is stored only when it is the root)
+    s1, s2, r = Guard(a(), Ins(TAU)), Ins(SIGMA), Ins(TAU_P)
+    original = engine_module._Engine.step
+
+    def stopping_step(self, s, r, mem):
+        if s is s2:
+            raise EngineError("stopped")
+        return original(self, s, r, mem)
+
+    monkeypatch.setattr(engine_module._Engine, "step", stopping_step)
+    for _ in range(2):
+        with pytest.raises(EngineError, match=r"^stopped$"):
+            unify(Choice(s1, s2), r)
+    assert list(engine_module._solved) == [_key(s1, r)]
+
+
+def test_nested_outputs_print_the_same_whatever_ran_before():
+    # a binder's name is a function of its sub-problem, so a stored output
+    # reads the same wherever it is reused: each nesting of each triple
+    # prints the same bytes when built in sequence, where the builds before
+    # it filled the memo, and when built alone after every memo is emptied
+    cfg = GenConfig(seed=71)
+    builds = [
+        (op, p, nesting, tuple(gen_strategy(cfg, 3 * i + k) for k in range(3)))
+        for i in range(25)
+        for op in (unify, combine)
+        for p in MergePolicy
+        for nesting in ("left", "right")
+    ]
+
+    def printed(op, p, nesting, triple) -> str:
+        a, b, c = triple
+        if nesting == "left":
+            return print_strategy(op(op(a, b, policy=p), c, policy=p))
+        return print_strategy(op(a, op(b, c, policy=p), policy=p))
+
+    in_sequence = [printed(*build) for build in builds]
+    for build, want in zip(builds, in_sequence):
+        engine_module._solved.clear()
+        parse_strategy.cache_clear()
+        assert printed(*build) == want, build
+
+
+def test_threads_sharing_the_memo_get_the_outputs_of_one_thread(monkeypatch):
+    # a memo of one entry, so that threads race on lookups, stores and
+    # drops; every output is the one a single thread builds
+    monkeypatch.setattr(engine_module, "_SOLVED_CAP", 1)
+    cfg = GenConfig(seed=31)
+    pairs = [(gen_strategy(cfg, 2 * i), gen_strategy(cfg, 2 * i + 1)) for i in range(8)]
+
+    def outputs() -> list:
+        return [combine(unify(s, r), r) for s, r in pairs]
+
+    want = outputs()
+    engine_module._solved.clear()
+    got: list[list] = [[] for _ in range(4)]
+
+    def work(out: list) -> None:
+        for _ in range(60):
+            out.append(outputs())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == 60 and all(x is y for x, y in zip(row, want)) for out in got for row in out)
+    assert len(engine_module._solved) <= 1
 
 
 def test_an_invalid_input_raises_on_every_call(monkeypatch):
@@ -793,11 +956,12 @@ def test_an_invalid_input_raises_on_every_call(monkeypatch):
     for _ in range(3):
         with pytest.raises(EngineError, match=r"^reduction exceeded the step cap$"):
             unify(XI, XI_P)
-    assert engine_module._reduced.cache_info().currsize == 0
+    assert not engine_module._solved
 
 
 def test_the_memo_is_bounded_and_emptying_it_frees_what_it_held():
-    assert engine_module._reduced.cache_info().maxsize == 16
+    cap = engine_module._SOLVED_CAP
+    assert 100 <= cap <= 1_000
     cfg = GenConfig(seed=9)
     gc.collect()
     start = len(_TABLE)
@@ -809,28 +973,33 @@ def test_the_memo_is_bounded_and_emptying_it_frees_what_it_held():
         if (s, r) not in pairs:
             pairs.add((s, r))
             unify(s, r)
-            assert engine_module._reduced.cache_info().currsize == min(len(pairs), 16)
+            assert len(engine_module._solved) <= cap and _key(s, r) in engine_module._solved
+    assert len(engine_module._solved) == cap
     del s, r, pairs
     gc.collect()
     assert len(_TABLE) > start  # the last outputs and their inputs are held
-    engine_module._reduced.cache_clear()
+    engine_module._solved.clear()
     gc.collect()
     assert len(_TABLE) == start
 
 
 def test_the_memo_drops_the_pair_used_least_recently(monkeypatch):
-    # a pair used again after 15 others outlives 15 more: a full memo drops
-    # its least recently used entry and is never emptied
+    # a pair used again after cap - 1 others outlives cap - 1 more: a full
+    # memo drops its least recently used entry and is never emptied
+    cap = engine_module._SOLVED_CAP
     made = _count_reductions(monkeypatch)
-    pairs = [(Ins(Context(App(f"lru{i}", (HOLE,)))), Ins(TAU)) for i in range(31)]
+    pairs = [(Ins(Context(App(f"lru{i}", (HOLE,)))), Ins(TAU)) for i in range(2 * cap - 1)]
     first = unify(*pairs[0])
-    for pair in pairs[1:16]:
+    for pair in pairs[1:cap]:
         unify(*pair)
-    assert unify(*pairs[0]) is first and len(made) == 16
-    for pair in pairs[16:]:
+    assert unify(*pairs[0]) is first and len(made) == cap
+    for pair in pairs[cap:]:
         unify(*pair)
-    assert len(made) == 31
-    assert unify(*pairs[0]) is first and len(made) == 31
+    assert len(made) == 2 * cap - 1
+    assert unify(*pairs[0]) is first and len(made) == 2 * cap - 1
+    # the next pair drops the least recently used one, pairs[1]
+    unify(*pairs[1])
+    assert len(made) == 2 * cap
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +1034,7 @@ def test_long_run_leaves_the_intern_table_as_it_found_it():
                 outs.append(op(op(s, r, policy=policy), r, policy=policy))
     assert len(_TABLE) > start + 1_000
     del s, r, outs
-    engine_module._reduced.cache_clear()
+    engine_module._solved.clear()
     gc.collect()
     assert len(_TABLE) <= start + 10
 
@@ -889,7 +1058,7 @@ def test_evaluated_outputs_leave_the_intern_table_as_they_found_it():
     assert len(_TABLE) > start + 1_000
     assert any(out.memo for out in outs)
     del s, r, out, outs
-    engine_module._reduced.cache_clear()
+    engine_module._solved.clear()
     gc.collect()
     assert len(_TABLE) <= start + 10
 
@@ -921,7 +1090,7 @@ def test_outputs_with_stored_results_are_freed_without_the_cycle_collector():
         answers = sum(len(node.holds) for o in outs for node in nodes(o) if node.holds)
         assert len(_TABLE) > start + 1_000 and stored > 50 and answers > 1_000
         del s, r, raw, out, x, outs
-        engine_module._reduced.cache_clear()
+        engine_module._solved.clear()
         assert len(_TABLE) == start
     finally:
         gc.enable()
