@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: apply, unify, combine, psi, check, unfold, verify.  Exit codes:
-0 success, 1 strategy failure or law violation, 2 usage or parse error, an
+0 success, 1 strategy failure, law violation or a stdout closed before the
+output was written (nothing more is written), 2 usage or parse error, an
 input file that cannot be read or is not UTF-8 text, a strategy the command
 cannot take (such as an open one), input nested too deeply for the command,
 a unification that passes the engine's size or step cap, or an unfolding
@@ -9,7 +10,8 @@ count above that size cap.  A parse error writes a line/column diagnostic
 to stderr and nothing to stdout; the other exit-2 cases write a one-line
 diagnostic to stderr and nothing to stdout.
 The --term/--strategy/--left/--right values name a file when one exists at
-that path and are parsed as inline text otherwise.
+that path and are parsed as inline text otherwise; --signature names a file
+only.
 """
 
 from __future__ import annotations
@@ -84,15 +86,20 @@ class _Diag(Exception):
 # ---------------------------------------------------------------------------
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as err:
+        raise _Diag(f"{path}: {err.strerror}") from err
+    except UnicodeDecodeError as err:
+        raise _Diag(f"{path}: not UTF-8 text (byte {err.start})") from err
+
+
 def _load(value: str, kind: str) -> tuple[str, str]:
+    """The file at ``value`` if there is one, else ``value`` as inline text."""
     if os.path.isfile(value):
-        try:
-            with open(value, encoding="utf-8") as fh:
-                return fh.read(), value
-        except OSError as err:
-            raise _Diag(f"{value}: {err.strerror}") from err
-        except UnicodeDecodeError as err:
-            raise _Diag(f"{value}: not UTF-8 text (byte {err.start})") from err
+        return _read(value), value
     return value, f"<{kind}>"
 
 
@@ -113,9 +120,8 @@ def _parse(parser: Callable, value: str, kind: str):
 
 
 def _read_signature(path: str) -> Signature:
-    text, source = _load(path, "signature")
     sig: Signature = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -125,12 +131,12 @@ def _read_signature(path: str) -> Signature:
         except ParseError:
             symbol = False
         if not sep or not symbol or not arity.isdecimal():
-            raise _Diag(f"{source}:{lineno}: expected name/arity, got {line!r}")
+            raise _Diag(f"{path}:{lineno}: expected name/arity, got {line!r}")
         if name in sig and sig[name] != int(arity):
-            raise _Diag(f"{source}:{lineno}: symbol {name!r} declared twice")
+            raise _Diag(f"{path}:{lineno}: symbol {name!r} declared twice")
         sig[name] = int(arity)
     if not sig:
-        raise _Diag(f"{source}: empty signature")
+        raise _Diag(f"{path}: empty signature")
     return sig
 
 
@@ -164,6 +170,8 @@ def _parse_map(spec: str) -> dict[str, int]:
         name, sep, value = part.strip().partition("=")
         if not sep or not name or not value.isdecimal():
             raise _Diag(f"--map: expected NAME=COUNT, got {part.strip()!r}")
+        if name in counts:
+            raise _Diag(f"--map: binder {name} given twice")
         counts[name] = int(value)
     return counts
 
@@ -333,7 +341,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit: let that write
+        # go nowhere instead of failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (_Diag, ValidationFailure) as err:
         print(err, file=sys.stderr)
         return 2

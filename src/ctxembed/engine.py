@@ -25,47 +25,49 @@ Each call first builds one closure table, in one walk over both inputs
 (``_table``): it numbers every strategy either input can reach, unfolding
 each fixed point once, and stores phi of every numbered node as a bitset; a
 measure is a few popcounts and bit tests on that table.  The same walk gives
-rules 8a/8b their unfoldings and, for each name, the bitset of the fixed
-points and variables that carry it.  ``phi`` walks one strategy's nodes and
+rules 8a/8b their unfoldings.  ``phi`` walks one strategy's nodes and
 unfoldings without building a table.
 
 The inputs are taken as they are given, neither renamed apart nor required
 to be linear.  Every sub-problem is closed: a rule descends only through
 constructors that bind nothing, and rules 8a/8b replace a fixed point by its
-closed unfolding.  So no input binder can capture a variable of the output,
-and a binder opened for the pair (s, r) under a memory takes the first of
-``Z``, ``Z2``, ... that its pair does not reach (no fixed point or variable
-in phi of s or of r carries it) and no binder of the memory takes.  A
-binder's name is thus a function of its sub-problem, not of what the call,
-or an earlier call, named before.
+closed unfolding.  An output variable is never placed inside an input
+fragment, and an input fragment is closed, so no binder of either side can
+capture a variable of the other: a binder only has to avoid the names of the
+output binders around it.  Those are exactly the memory's, so a binder
+opened under a memory of k entries is named ``Z`` when k is 0 and ``Z{k+1}``
+otherwise; it may shadow an input's binder of the same name.  A binder's
+name is thus a function of its sub-problem, not of what the call, or an
+earlier call, named before.
 
 A result about one strategy node is stored on that node (``strategy``
 keeps a node's simplification and validation there), and a result keyed by
-anything else lives in a bounded memo.  The engine's memo is ``_solved``:
-at most ``_SOLVED_CAP`` entries from (left, right, policy, arity bound) to
-the raw, unsimplified output of a pair solved under an empty memory; when
-full it drops the entry used least recently, and a lock keeps each lookup
-and store whole when threads share it.  Such a pair has no output
-binder around it, so its output is closed and depends on the pair alone,
-and ``solve`` looks each one up before stepping it and stores its output
-once its rule has finished, if the rule opened sub-problems: a pair that a
-rule answers at once costs one step to solve again, and is stored only as
-the root.  The root pair is one of them: ``unify`` looks
-it up after the admissibility gate and before building the table, so a
-repeated call builds nothing.  Strategy nodes are interned, so equal inputs
-are one object and a lookup compares identities.  Only a finished pair is
-stored: a rejected input or a stopped reduction raises again on every
-call.  A hit still passes the measure check of the rule that opened it.  A
-call with a trace neither reads nor stores the memo, so it reduces every
-pair.  The memo keeps its pairs and outputs alive until it drops them.
-``combine`` reaches it through ``unify``, so ``combine`` after ``unify`` of
-the same pair reduces once, and a nested build reduces once each pair that
-an earlier call already solved under an empty memory.
+anything else lives in a bounded memo.  The engine's memo is ``_solved``, a
+plain dict from (left, right, policy, arity bound) to the raw, unsimplified
+output of a pair solved under an empty memory.  A lookup is one ``get``, and
+a store into a memo that holds ``_SOLVED_CAP`` entries first empties it, as
+``strategy`` empties a node's memo.  It takes no lock: the output for a key
+is a pure function of the key, so threads that race can only store equal
+outputs, or leave a few entries past the cap for the next store to empty.  Such a pair has no output binder around it, so its output is
+closed and depends on the pair alone, and ``solve`` looks each one up
+before stepping it and stores its output once its rule has finished, if the
+rule opened sub-problems: a pair that a rule answers at once costs one step
+to solve again, and is stored only as the root.  The root pair is one of
+them: ``unify`` looks it up after the admissibility gate and before
+building the table, so a repeated call builds nothing.  Strategy nodes are
+interned, so equal inputs are one object and a lookup compares identities.
+Only a finished pair is stored: a rejected input or a stopped reduction
+raises again on every call.  A hit still passes the measure check of the
+rule that opened it.  A call with a trace neither reads nor stores the
+memo, so it reduces every pair.  The memo keeps its pairs and outputs alive
+until it is emptied.  ``combine`` reaches it through ``unify``, so
+``combine`` after ``unify`` of the same pair reduces once, and a nested
+build reduces once each pair that an earlier call already solved under an
+empty memory.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Iterator, Optional, Union
 
 from ctxembed.strategy import (
@@ -105,26 +107,13 @@ Output = Union[Strat, tuple[Callable[..., Strat], tuple[Problem, ...]]]
 # (left, right, policy, arity bound) of a pair solved under an empty memory
 Key = tuple[Strat, Strat, MergePolicy, int]
 
-# in the order of last use, the least recent first
 _solved: dict[Key, Strat] = {}
-_SOLVED_LOCK = threading.Lock()
-
-
-def _recall(key: Key) -> Optional[Strat]:
-    """The stored output of ``key``, now the entry used most recently."""
-    out = _solved.get(key)
-    if out is not None:
-        with _SOLVED_LOCK:
-            if _solved.pop(key, None) is not None:
-                _solved[key] = out
-    return out
 
 
 def _store(key: Key, out: Strat) -> None:
-    with _SOLVED_LOCK:
-        _solved[key] = out
-        dropped = _solved.pop(next(iter(_solved))) if len(_solved) > _SOLVED_CAP else None
-    del dropped  # what only the dropped entry held is freed outside the lock
+    if len(_solved) >= _SOLVED_CAP:
+        _solved.clear()
+    _solved[key] = out
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +140,9 @@ def phi(s: Strat) -> frozenset:
     return frozenset(seen)
 
 
-def _table(*roots: Strat) -> tuple[dict, list[int], dict, int, int, dict]:
+def _table(*roots: Strat) -> tuple[dict, list[int], dict, int]:
     """The closure table of everything ``roots`` reach, from one walk:
-    (number, closure, unfoldings, mus, svars, named) as ``_Engine`` keeps them.
+    (number, closure, unfoldings, mus) as ``_Engine`` keeps them.
 
     The walk numbers a node when it first meets it and gives a fixed point
     its one-step unfolding there, as one more edge out.  It is Tarjan's
@@ -169,8 +158,7 @@ def _table(*roots: Strat) -> tuple[dict, list[int], dict, int, int, dict]:
     """
     number: dict[Strat, int] = {}
     unfoldings: dict[Mu, Strat] = {}
-    named: dict[str, int] = {}
-    mus = svars = 0  # bitsets of the fixed points and of the variables
+    mus = 0  # the bitset of the fixed points
     low: list[int] = []
     closure: list[int] = []
     stack: list[int] = []
@@ -189,10 +177,6 @@ def _table(*roots: Strat) -> tuple[dict, list[int], dict, int, int, dict]:
                     unfoldings[node] = unfolding = subst_var(node.body, node.var, node)
                     kids += (unfolding,)
                     mus |= 1 << k
-                    named[node.var] = named.get(node.var, 0) | 1 << k
-                elif isinstance(node, SVar):
-                    svars |= 1 << k
-                    named[node.name] = named.get(node.name, 0) | 1 << k
                 low.append(k)
                 closure.append(0)
                 stack.append(k)
@@ -223,7 +207,7 @@ def _table(*roots: Strat) -> tuple[dict, list[int], dict, int, int, dict]:
                 closure[u] |= closure[v]
                 if low[v] < low[u]:
                     low[u] = low[v]
-    return number, closure, unfoldings, mus, svars, named
+    return number, closure, unfoldings, mus
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +234,7 @@ class _Engine:
     ``_table`` walks both inputs once and gives the rest: ``number`` numbers
     every node either input reaches, ``closure[k]`` is phi of node ``k`` as a
     bitset over those numbers, ``unfoldings`` maps each fixed point to its
-    one-step unfolding, ``mus`` and ``svars`` are the bitsets of the fixed
-    points and of the variables, and ``named`` maps each name to the bitset
-    of the fixed points and variables that carry it.
+    one-step unfolding, and ``mus`` is the bitset of the fixed points.
     """
 
     def __init__(
@@ -263,25 +245,24 @@ class _Engine:
         self.arity_bound = arity_bound
         self.trace = trace
         self.steps = 0
-        self.number, self.closure, self.unfoldings, self.mus, self.svars, self.named = _table(
-            left, right
-        )
+        self.number, self.closure, self.unfoldings, self.mus = _table(left, right)
 
     def measure(self, left: Strat, right: Strat, memory: frozenset) -> Measure:
         """(lambda, delta(left), delta(right)) of a pair.
 
         lambda is |mus(phi_l)| * |phi_r| + |phi_l| * |mus(phi_r)| less the
         memory entries (a, b) still relevant to the pair: a is a fixed point
-        of phi_l and b a non-variable of phi_r, or the other way round.
+        of phi_l and b a non-variable of phi_r, or the other way round.  A
+        memory entry is a pair, and every pair is closed, so neither side of
+        it is a variable and only the fixed-point half needs a test.
         """
         number = self.number
         phi_l, phi_r = self.closure[number[left]], self.closure[number[right]]
         mu_l, mu_r = phi_l & self.mus, phi_r & self.mus
-        rest_l, rest_r = phi_l & ~self.svars, phi_r & ~self.svars
         lam = mu_l.bit_count() * phi_r.bit_count() + phi_l.bit_count() * mu_r.bit_count()
         for a, b, _ in memory:
             i, j = number[a], number[b]
-            if (mu_l >> i & rest_r >> j | rest_l >> i & mu_r >> j) & 1:
+            if (mu_l >> i & phi_r >> j | phi_l >> i & mu_r >> j) & 1:
                 lam -= 1
         return (lam, (left.star_height, left.tree_depth), (right.star_height, right.tree_depth))
 
@@ -304,7 +285,7 @@ class _Engine:
         while True:
             key = (s, r, policy, arity_bound) if memo and not mem else None
             # ``unify`` has looked the root up already
-            out = _recall(key) if key is not None and waiting else None
+            out = _solved.get(key) if key is not None and waiting else None
             if out is None:
                 if self.steps >= _MAX_STEPS:
                     raise EngineError("reduction exceeded the step cap")
@@ -389,17 +370,13 @@ class _Engine:
 
     def bind(self, s: Strat, r: Strat, mem: frozenset, left: Strat, right: Strat) -> Output:
         """The variable of the binder opened for the pair (s, r), or a new
-        binder for it whose body solves (left, right).  The new binder takes
-        the first of Z, Z2, ... that no fixed point or variable reachable
-        from s or r carries and no binder in the memory takes."""
+        binder for it whose body solves (left, right).  The memory holds the
+        binders around it, named Z, Z2, ... by depth, so the new binder is
+        named by the next depth."""
         for a, b, z in mem:
             if a == s and b == r:
                 return SVar(z)
-        used = {z for *_, z in mem}
-        reach = self.closure[self.number[s]] | self.closure[self.number[r]]
-        z, k = "Z", 2
-        while z in used or self.named.get(z, 0) & reach:
-            z, k = f"Z{k}", k + 1
+        z = f"Z{len(mem) + 1}" if mem else "Z"
         return lambda body: Mu(z, body), ((left, right, mem | {(s, r, z)}, (1,)),)
 
     def step(self, s: Strat, r: Strat, mem: frozenset) -> tuple[str, Output]:
@@ -485,7 +462,7 @@ def unify(
     arity_bound = max_arity(DEFAULT_SIGNATURE if signature is None else signature)
     _require_valid(s, "left")
     _require_valid(r, "right")
-    out = None if trace is not None else _recall((s, r, policy, arity_bound))
+    out = None if trace is not None else _solved.get((s, r, policy, arity_bound))
     if out is None:
         out = _Engine(policy, arity_bound, s, r, trace).solve(s, r)
     return simplify_strategy(out) if simplify_output else out

@@ -579,22 +579,11 @@ def _eval(s: Strat, t: Term, env: Env, whole: bool) -> Optional[Term]:
             raise TypeError(f"not a strategy: {s!r}")
 
 
-def fresh_names(base: str, taken: set[str]) -> Iterator[str]:
-    """Each next name is the first of ``base``, ``base2``, ``base3``, ... not
-    in ``taken``, which is then added to ``taken``.  The scan resumes where
-    the last name was drawn: while ``taken`` only grows, every name before
-    that is still taken."""
-    name, k = base, 2
-    while True:
-        if name not in taken:
-            taken.add(name)
-            yield name
-        name, k = f"{base}{k}", k + 1
-
-
 def td(s: Strat) -> Strat:
     """Top-down driver: try ``s`` here, else at the topmost children it fits."""
-    name = next(fresh_names("X", set(s.free) | bound_vars(s)))
+    taken, name, k = s.free | bound_vars(s), "X", 2
+    while name in taken:
+        name, k = f"X{k}", k + 1
     return Mu(name, Choice(s, Most(SVar(name))))
 
 
@@ -611,8 +600,8 @@ class Validation:
     monotone, well-founded maps and insertions as the only root map entries.
     The engine needs neither linearity nor renaming its inputs apart: every
     sub-problem it opens is a pair of closed strategies, so an input's binder
-    can capture nothing, and each binder it makes takes a name its pair does
-    not reach.
+    can capture nothing, and each binder it makes takes a name no binder
+    around it takes.
     """
 
     closed: bool

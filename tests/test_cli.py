@@ -134,6 +134,16 @@ def test_malformed_signature_file(tmp_path, capsys, line, accepted):
     ["apply", "--term", "a", "--strategy", "fail"],
     ["verify", "--suite", "algebra", "--cases", "1"],
 ], ids=["apply", "verify"])
+def test_a_missing_signature_file_is_not_read_as_inline_text(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *command, "--signature", "missing.sig")
+    assert (code, out, err) == (2, "", "missing.sig: No such file or directory\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["apply", "--term", "a", "--strategy", "fail"],
+    ["verify", "--suite", "algebra", "--cases", "1"],
+], ids=["apply", "verify"])
 def test_signature_arity_must_be_decimal_digits(tmp_path, capsys, command):
     # "²" is a digit to str.isdigit, but int() rejects it
     sigfile = tmp_path / "sig"
@@ -222,6 +232,27 @@ def test_output_does_not_depend_on_the_hash_seed(argv):
                               capture_output=True, text=True, check=True)
         outs.append(done.stdout)
     assert outs[0] and outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_ends_quietly(buffered):
+    # the read end of the pipe is closed before the child starts, so its
+    # first write to stdout fails however stdout is buffered
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "ctxembed.cli", "apply", "--term", "a", "--strategy", "ins <f([])>"],
+            stdout=write, stderr=subprocess.PIPE, env=env, check=False,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")  # no traceback
 
 
 def test_combine_falls_back_to_either_side(capsys):
@@ -379,6 +410,13 @@ def test_unfold_map_must_cover_all_binders(capsys):
     )
     assert code == 2
     assert out == "" and "no count for binder" in err
+
+
+def test_unfold_map_names_each_binder_once(capsys):
+    code, out, err = run(
+        capsys, "unfold", "--strategy", "mu X. a ; ins <[]> + @1.X", "--map", "X=1,X=2"
+    )
+    assert (code, out, err) == (2, "", "--map: binder X given twice\n")
 
 
 def test_unfold_map_counts_must_be_decimal_digits(capsys):

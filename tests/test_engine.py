@@ -32,7 +32,6 @@ from ctxembed.strategy import (
     _TABLE,
     alpha_eq,
     eval_strategy,
-    fresh_names,
     jump,
     nodes,
     simplify,
@@ -126,7 +125,7 @@ def _check_table(s, r) -> int:
     for node, k in table.number.items():
         row = bin(table.closure[k])[:1:-1]
         assert {by_number[j] for j, bit in enumerate(row) if bit == "1"} == _reachable(node)
-        assert (table.mus >> k & 1, table.svars >> k & 1) == (isinstance(node, Mu), isinstance(node, SVar))
+        assert table.mus >> k & 1 == isinstance(node, Mu)
     return max(Counter(table.closure).values())
 
 
@@ -279,16 +278,18 @@ def test_loop_unify_keeps_vacuous_binder_without_simplification():
     assert got == Mu("Z", Mu("Z2", jump((1,), SVar("Z"))))
 
 
-def test_fresh_names_avoid_input_binders():
+def test_a_new_binder_may_take_an_input_binder_name():
+    # an input fragment is closed and no output variable is placed inside
+    # one, so the root binder is Z whatever the inputs name theirs
     got = unify(Mu("Z", jump((1,), SVar("Z"))), Mu("W", jump((1,), SVar("W"))))
-    assert got == Mu("Z2", jump((1,), SVar("Z2")))
+    assert got == Mu("Z", jump((1,), SVar("Z")))
 
 
-def test_a_new_binder_takes_the_first_name_its_pair_does_not_reach(monkeypatch):
-    # each binder the engine opens for (s, r) under a memory takes the first
-    # of Z, Z2, ... that no fixed point or variable reachable from s or r
-    # carries and no binder of the memory takes; the inputs take Z, Z3 and
-    # Z5, which only the pairs that reach them skip
+def test_a_new_binder_is_named_by_its_memory_depth(monkeypatch):
+    # each binder the engine opens under a memory of k entries is Z when k
+    # is 0 and Z{k+1} otherwise: the memory holds exactly the binders around
+    # it, named Z, Z2, ..., Zk, so the name is distinct from all of them;
+    # the inputs take Z, Z3 and Z5, which change nothing
     original = engine_module._Engine.bind
     opened = []
 
@@ -304,7 +305,7 @@ def test_a_new_binder_takes_the_first_name_its_pair_does_not_reach(monkeypatch):
     s = parse_strategy("mu Z. (a ; ins <f([])>) + @1.Z")
     r = parse_strategy("mu Z3. (mu Z5. (f(?x) ; ins <f([])>) + most(Z5)) + @1.Z3")
     unify(s, r, simplify_output=False)
-    assert {"Z", "Z2", "Z4", "Z6"} <= {z for *_, z in opened}
+    assert {"Z", "Z2", "Z3"} <= {z for *_, z in opened}
     cfg = GenConfig(seed=21)
     for i in range(30):
         a, b = gen_strategy(cfg, 2 * i), gen_strategy(cfg, 2 * i + 1)
@@ -312,11 +313,13 @@ def test_a_new_binder_takes_the_first_name_its_pair_does_not_reach(monkeypatch):
     assert len(opened) > 100
     # a name is taken again by other sub-problems, unlike a call-wide draw
     assert len({z for *_, z in opened}) < len(opened)
+
+    def named(k: int) -> str:
+        return f"Z{k + 1}" if k else "Z"
+
     for s, r, mem, z in opened:
-        reached = _reachable(s) | _reachable(r)
-        taken = {x.var for x in reached if isinstance(x, Mu)} | {x.name for x in reached if isinstance(x, SVar)}
-        taken |= {name for *_, name in mem}
-        assert z == next(fresh_names("Z", taken))
+        assert {name for *_, name in mem} == {named(k) for k in range(len(mem))}
+        assert z == named(len(mem))
 
 
 def test_identical_binder_names_are_separated():
@@ -508,7 +511,7 @@ def test_right_binder_names_may_collide_with_the_left():
     xi_p = Mu("X", Choice(Guard(U_P, Ins(TAU_P)), jump((1,), SVar("X"))))
     assert unify(XI, xi_p) == expected_worked_example(XI, xi_p)
     got = unify(Mu("W", jump((1,), SVar("W"))), Mu("Z", jump((1,), SVar("Z"))))
-    assert got == Mu("Z2", jump((1,), SVar("Z2")))
+    assert got == Mu("Z", jump((1,), SVar("Z")))
     # a right binder shadowed inside another of the same name
     nested = parse_strategy("mu X. [@1.X, @2.mu X. (f(?y) ; ins <[]>) + @1.X]")
     terms = list(terms_up_to_depth(DEFAULT_SIGNATURE, 2))
@@ -517,6 +520,27 @@ def test_right_binder_names_may_collide_with_the_left():
         for t in terms:
             sides = eval_strategy(left, t), eval_strategy(right, t)
             assert (eval_strategy(joint, t) is None) == (None in sides)
+
+
+@pytest.mark.parametrize("op, op_pos", [(unify, unify_pos), (combine, combine_pos)])
+def test_a_nested_output_shadows_its_input_binders(op, op_pos):
+    # the output's root binder Z is opened around fragments of an input
+    # whose own binder is Z: legal shadowing, which prints and parses back
+    # to the same node and translates as the theorems state
+    s = parse_strategy("mu X. (g(?x,?x) ; ins <list([],i)>) + @1.X")
+    r = parse_strategy("mu Y. (g(?x,b) ; ins <list([],j)>) + @1.Y")
+    inner = unify(s, r)
+    assert isinstance(inner, Mu) and inner.var == "Z"
+    out = op(inner, s)
+    assert any(
+        isinstance(node, Mu) and node.var == "Z" and any(
+            isinstance(below, Mu) and below.var == "Z" for below in nodes(node.body)
+        )
+        for node in nodes(out)
+    )
+    assert _same_text_back(out)
+    for t in terms_up_to_depth(DEFAULT_SIGNATURE, 2):
+        assert eq_pos(psi(out, t), op_pos(psi(inner, t), psi(s, t))), t
 
 
 def test_malformed_conjunctions_are_rejected():
@@ -859,7 +883,7 @@ def test_a_traced_call_reduces_and_records_the_same_steps(monkeypatch):
         op(XI, XI_P, trace=trace)
         assert trace == want  # every step again: nothing was read
     assert len(made) == 2
-    # nor was anything stored, or used: the order of the entries is as it was
+    # nor was anything stored: the entries are as they were
     assert list(engine_module._solved.items()) == stored
     assert combine(XI, XI_P) is combine(XI, XI_P, trace=[])
 
@@ -912,7 +936,7 @@ def test_nested_outputs_print_the_same_whatever_ran_before():
 
 def test_threads_sharing_the_memo_get_the_outputs_of_one_thread(monkeypatch):
     # a memo of one entry, so that threads race on lookups, stores and
-    # drops; every output is the one a single thread builds
+    # emptyings; every output is the one a single thread builds
     monkeypatch.setattr(engine_module, "_SOLVED_CAP", 1)
     cfg = GenConfig(seed=31)
     pairs = [(gen_strategy(cfg, 2 * i), gen_strategy(cfg, 2 * i + 1)) for i in range(8)]
@@ -940,7 +964,9 @@ def test_threads_sharing_the_memo_get_the_outputs_of_one_thread(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(len(out) == 60 and all(x is y for x, y in zip(row, want)) for out in got for row in out)
-    assert len(engine_module._solved) <= 1
+    # each thread can find the memo full, empty it and store, as with a
+    # node's memo
+    assert len(engine_module._solved) <= 1 + len(threads)
 
 
 def test_an_invalid_input_raises_on_every_call(monkeypatch):
@@ -974,7 +1000,6 @@ def test_the_memo_is_bounded_and_emptying_it_frees_what_it_held():
             pairs.add((s, r))
             unify(s, r)
             assert len(engine_module._solved) <= cap and _key(s, r) in engine_module._solved
-    assert len(engine_module._solved) == cap
     del s, r, pairs
     gc.collect()
     assert len(_TABLE) > start  # the last outputs and their inputs are held
@@ -983,23 +1008,20 @@ def test_the_memo_is_bounded_and_emptying_it_frees_what_it_held():
     assert len(_TABLE) == start
 
 
-def test_the_memo_drops_the_pair_used_least_recently(monkeypatch):
-    # a pair used again after cap - 1 others outlives cap - 1 more: a full
-    # memo drops its least recently used entry and is never emptied
+def test_a_full_memo_is_emptied_before_the_next_store(monkeypatch):
+    # a memo that holds cap entries is emptied by the next store, which it
+    # then holds alone; until then every stored pair is answered from it
     cap = engine_module._SOLVED_CAP
     made = _count_reductions(monkeypatch)
-    pairs = [(Ins(Context(App(f"lru{i}", (HOLE,)))), Ins(TAU)) for i in range(2 * cap - 1)]
+    pairs = [(Ins(Context(App(f"full{i}", (HOLE,)))), Ins(TAU)) for i in range(cap + 1)]
     first = unify(*pairs[0])
     for pair in pairs[1:cap]:
         unify(*pair)
+    assert len(engine_module._solved) == cap and len(made) == cap
     assert unify(*pairs[0]) is first and len(made) == cap
-    for pair in pairs[cap:]:
-        unify(*pair)
-    assert len(made) == 2 * cap - 1
-    assert unify(*pairs[0]) is first and len(made) == 2 * cap - 1
-    # the next pair drops the least recently used one, pairs[1]
-    unify(*pairs[1])
-    assert len(made) == 2 * cap
+    unify(*pairs[cap])
+    assert list(engine_module._solved) == [_key(*pairs[cap])]
+    assert unify(*pairs[0]) is first and len(made) == cap + 2
 
 
 # ---------------------------------------------------------------------------
