@@ -10,7 +10,8 @@ count above that size cap.  A parse error writes a line/column diagnostic
 to stderr and nothing to stdout; the other exit-2 cases write a one-line
 diagnostic to stderr and nothing to stdout.
 The --term/--strategy/--left/--right values name a file when one exists at
-that path and are parsed as inline text otherwise; --signature names a file
+that path and are parsed as inline text otherwise, and a parse error of
+inline text says that no file of that name exists; --signature names a file
 only.
 """
 
@@ -96,13 +97,6 @@ def _read(path: str) -> str:
         raise _Diag(f"{path}: not UTF-8 text (byte {err.start})") from err
 
 
-def _load(value: str, kind: str) -> tuple[str, str]:
-    """The file at ``value`` if there is one, else ``value`` as inline text."""
-    if os.path.isfile(value):
-        return _read(value), value
-    return value, f"<{kind}>"
-
-
 def _located(source: str, text: str, err: ParseError) -> str:
     off = err.offset if err.offset is not None else 0
     off = max(0, min(off, len(text)))
@@ -112,11 +106,16 @@ def _located(source: str, text: str, err: ParseError) -> str:
 
 
 def _parse(parser: Callable, value: str, kind: str):
-    text, source = _load(value, kind)
+    """The file at ``value`` if there is one, else ``value`` as inline text,
+    read by ``parser``."""
+    if os.path.isfile(value):
+        text, source, note = _read(value), value, ""
+    else:
+        text, source, note = value, f"<{kind}>", " (no file of that name; read as text)"
     try:
         return parser(text)
     except ParseError as err:
-        raise _Diag(_located(source, text, err)) from err
+        raise _Diag(_located(source, text, err) + note) from err
 
 
 def _read_signature(path: str) -> Signature:
@@ -240,6 +239,9 @@ def _cmd_unfold(args: argparse.Namespace) -> int:
         missing = sorted(binders - counts.keys())
         if missing:
             raise _Diag(f"--map: no count for binder(s) {', '.join(missing)}")
+        unknown = sorted(counts.keys() - binders)
+        if unknown:
+            raise _Diag(f"--map: no binder {', '.join(unknown)} in the strategy")
     else:
         counts = {name: args.n for name in binders}
     if any(n < 0 for n in counts.values()):

@@ -3,8 +3,9 @@
 ``unify(S, R)`` builds a single strategy that, where both inputs succeed,
 performs the work of both (contexts merged inside-out, left outermost), and
 fails elsewhere.  ``combine(S, R)`` additionally falls back to either input
-alone.  A rule fires on a pair of strategies (plus a memory of already-opened
-fixed-point pairs), chosen by strict priority, and opens sub-problems; each
+alone.  A rule fires on a pair of strategies (plus a memory: the stack of
+pairs whose fixed-point binders are open around it, outermost first), chosen
+by strict priority, and opens sub-problems; each
 sub-problem is solved where the rule opens it, left to right, and the rule's
 output is built from the finished results, so reduction is deterministic.
 
@@ -34,11 +35,11 @@ constructors that bind nothing, and rules 8a/8b replace a fixed point by its
 closed unfolding.  An output variable is never placed inside an input
 fragment, and an input fragment is closed, so no binder of either side can
 capture a variable of the other: a binder only has to avoid the names of the
-output binders around it.  Those are exactly the memory's, so a binder
-opened under a memory of k entries is named ``Z`` when k is 0 and ``Z{k+1}``
-otherwise; it may shadow an input's binder of the same name.  A binder's
-name is thus a function of its sub-problem, not of what the call, or an
-earlier call, named before.
+output binders around it.  Those are exactly the memory's pairs, so the
+binder of the pair at depth k of the memory is named ``Z`` when k is 0 and
+``Z{k+1}`` otherwise, and the memory stores no name; a binder may shadow an
+input's binder of the same name.  A binder's name is thus a function of its
+sub-problem, not of what the call, or an earlier call, named before.
 
 A result about one strategy node is stored on that node (``strategy``
 keeps a node's simplification and validation there), and a result keyed by
@@ -48,7 +49,8 @@ output of a pair solved under an empty memory.  A lookup is one ``get``, and
 a store into a memo that holds ``_SOLVED_CAP`` entries first empties it, as
 ``strategy`` empties a node's memo.  It takes no lock: the output for a key
 is a pure function of the key, so threads that race can only store equal
-outputs, or leave a few entries past the cap for the next store to empty.  Such a pair has no output binder around it, so its output is
+outputs, or leave a few entries past the cap for the next store to empty.
+Such a pair has no output binder around it, so its output is
 closed and depends on the pair alone, and ``solve`` looks each one up
 before stepping it and stores its output once its rule has finished, if the
 rule opened sub-problems: a pair that a rule answers at once costs one step
@@ -102,7 +104,7 @@ Measure = tuple[int, tuple[int, int], tuple[int, int]]
 # A rule's output: finished, or a builder and the sub-problems (one or more)
 # whose results it takes, in order.  A sub-problem (left, right, memory, at)
 # is a pair, the memory it is solved under and where its result sits.
-Problem = tuple[Strat, Strat, frozenset, tuple[int, ...]]
+Problem = tuple[Strat, Strat, tuple, tuple[int, ...]]
 Output = Union[Strat, tuple[Callable[..., Strat], tuple[Problem, ...]]]
 # (left, right, policy, arity bound) of a pair solved under an empty memory
 Key = tuple[Strat, Strat, MergePolicy, int]
@@ -247,20 +249,20 @@ class _Engine:
         self.steps = 0
         self.number, self.closure, self.unfoldings, self.mus = _table(left, right)
 
-    def measure(self, left: Strat, right: Strat, memory: frozenset) -> Measure:
+    def measure(self, left: Strat, right: Strat, memory: tuple) -> Measure:
         """(lambda, delta(left), delta(right)) of a pair.
 
         lambda is |mus(phi_l)| * |phi_r| + |phi_l| * |mus(phi_r)| less the
-        memory entries (a, b) still relevant to the pair: a is a fixed point
-        of phi_l and b a non-variable of phi_r, or the other way round.  A
-        memory entry is a pair, and every pair is closed, so neither side of
-        it is a variable and only the fixed-point half needs a test.
+        memory's pairs (a, b) still relevant to the pair: a is a fixed point
+        of phi_l and b a non-variable of phi_r, or the other way round.
+        Every pair is closed, so neither side of it is a variable and only
+        the fixed-point half needs a test.
         """
         number = self.number
         phi_l, phi_r = self.closure[number[left]], self.closure[number[right]]
         mu_l, mu_r = phi_l & self.mus, phi_r & self.mus
         lam = mu_l.bit_count() * phi_r.bit_count() + phi_l.bit_count() * mu_r.bit_count()
-        for a, b, _ in memory:
+        for a, b in memory:
             i, j = number[a], number[b]
             if (mu_l >> i & phi_r >> j | phi_l >> i & mu_r >> j) & 1:
                 lam -= 1
@@ -279,7 +281,7 @@ class _Engine:
         finished, if the rule opened sub-problems or the pair is the
         root."""
         policy, arity_bound, memo = self.policy, self.arity_bound, self.trace is None
-        mem: frozenset = frozenset()
+        mem: tuple = ()
         focus, place = self.measure(s, r, mem), "eps"
         waiting: list[tuple] = []
         while True:
@@ -334,30 +336,24 @@ class _Engine:
                 place = dotted if place == "eps" else f"{place}.{dotted}"
             focus = kid
 
-    def entries(self, s: Strat) -> tuple:
-        """The entries of ``s`` read as a map: a Most's body at every child
-        index, an insertion at the root."""
-        if isinstance(s, Most):
-            return tuple((i, s.body) for i in range(1, self.arity_bound + 1))
-        return s.entries if isinstance(s, Conj) else ((None, s),)
-
-    def combine_conjs(self, s: Strat, r: Strat, mem: frozenset) -> Output:
+    def combine_conjs(self, s: Strat, r: Strat, mem: tuple) -> Output:
         """Rules 4b, 7b and 7c: ``s`` and ``r`` as maps, entry by entry; an
-        index both maps use opens the joint of its two entries."""
-        l_entries, r_entries = self.entries(s), self.entries(r)
-        l_num = [(i, b) for i, b in l_entries if i is not None]
-        r_num = [(j, b) for j, b in r_entries if j is not None]
-        l_eps = [b for i, b in l_entries if i is None]
-        r_eps = [b for j, b in r_entries if j is None]
-        lmap, rmap = dict(l_num), dict(r_num)
-        shared = [(i, b, rmap[i]) for i, b in l_num if i in rmap]
-        rest = [(i, b) for i, b in l_num if i not in rmap] + [(j, b) for j, b in r_num if j not in lmap]
-        if l_eps and r_eps:
-            rest.append((None, Ins(merge(l_eps[0].ctx, r_eps[0].ctx, self.policy))))
-        elif l_eps:
-            rest.append((None, l_eps[0]))
-        elif r_eps:
-            rest.append((None, r_eps[0]))
+        index both maps use opens the joint of its two entries.  A Most
+        reads as its body at every child index and an insertion as its root
+        entry (index None).  Each side is read into a dict once: every map a
+        call reaches belongs to an admissible input or to its one-step
+        unfolding, so its indices are distinct."""
+        lmap, rmap = (
+            dict.fromkeys(range(1, self.arity_bound + 1), x.body) if isinstance(x, Most)
+            else dict(x.entries) if isinstance(x, Conj) else {None: x}
+            for x in (s, r)
+        )
+        l_eps, r_eps = lmap.pop(None, None), rmap.pop(None, None)
+        shared = [(i, b, rmap[i]) for i, b in lmap.items() if i in rmap]
+        rest = [(i, b) for i, b in lmap.items() if i not in rmap] + [(j, c) for j, c in rmap.items() if j not in lmap]
+        eps = l_eps and r_eps and Ins(merge(l_eps.ctx, r_eps.ctx, self.policy)) or l_eps or r_eps
+        if eps is not None:
+            rest.append((None, eps))
 
         def build(*joints: Strat) -> Strat:
             out = [(i, Choice(Choice(j, b), c)) for (i, b, c), j in zip(shared, joints)]
@@ -368,18 +364,20 @@ class _Engine:
         at = _under_gates(s, r)
         return build, tuple((b, c, mem, at + (k, 1, 1)) for k, (_, b, c) in enumerate(shared, 1))
 
-    def bind(self, s: Strat, r: Strat, mem: frozenset, left: Strat, right: Strat) -> Output:
-        """The variable of the binder opened for the pair (s, r), or a new
-        binder for it whose body solves (left, right).  The memory holds the
-        binders around it, named Z, Z2, ... by depth, so the new binder is
-        named by the next depth."""
-        for a, b, z in mem:
-            if a == s and b == r:
-                return SVar(z)
-        z = f"Z{len(mem) + 1}" if mem else "Z"
-        return lambda body: Mu(z, body), ((left, right, mem | {(s, r, z)}, (1,)),)
+    def bind(self, s: Strat, r: Strat, mem: tuple, left: Strat, right: Strat) -> Output:
+        """The variable of the binder open for the pair (s, r), or a new
+        binder for it whose body solves (left, right).  The memory is the
+        stack of pairs whose binders are open around it, and the binder of
+        the pair at depth k is named Z when k is 0 and Z{k+1} otherwise; a
+        new binder pushes its pair."""
+        pair = (s, r)
+        k = mem.index(pair) if pair in mem else len(mem)
+        z = f"Z{k + 1}" if k else "Z"
+        if k < len(mem):
+            return SVar(z)
+        return lambda body: Mu(z, body), ((left, right, mem + (pair,), (1,)),)
 
-    def step(self, s: Strat, r: Strat, mem: frozenset) -> tuple[str, Output]:
+    def step(self, s: Strat, r: Strat, mem: tuple) -> tuple[str, Output]:
         """The rule that fires on (s, r) and its output."""
         if isinstance(s, SFail):
             return "1a", FAIL_S

@@ -23,7 +23,7 @@ Neither reading nor printing recurses per level of nesting.  The text is
 split into tokens by one regular-expression scan, and the parser runs on
 explicit stacks over the token list; character offsets are worked out only
 for a ParseError.  The printer runs on an explicit stack as well: a strategy
-shared within the printed one is worked out once per setting (see
+shared within the printed one is worked out once per print (see
 ``print_strategy``) and its text copied wherever it occurs again, and a
 sub-strategy that already holds a stored text is copied from it.
 
@@ -461,14 +461,15 @@ def print_strategy(s: Strat) -> str:
 
     A sub-strategy is printed in a setting: the loosest operator it may show
     unparenthesized (``_CHOICE`` or ``_SEQ``), and whether more of a choice
-    follows it.  The printer runs on an explicit stack of pending text and
-    (node, setting) pairs, and keeps where each pair's text begins and ends.
-    A pair met again copies that stretch of text, so a shared sub-strategy
-    is worked out once per setting however often it is printed.  A
-    sub-strategy with a stored text, from an earlier ``print_strategy`` of
-    it, is not worked out at all: in any setting its text is the stored one,
-    in parentheses where the setting asks for them, so the stored text is
-    copied once that choice is made.
+    follows it.  The setting decides only whether the sub-strategy is put
+    in parentheses: its text inside them is the same in every setting.  The
+    printer runs on an explicit stack of pending text and (node, setting)
+    pairs; it decides on parentheses first, and keeps where each node's
+    text begins and ends.  A node met again, in any setting, copies that
+    stretch of text, so a shared sub-strategy is worked out once per print
+    however often it is printed.  A sub-strategy with a stored text, from
+    an earlier ``print_strategy`` of it, is not worked out at all: its
+    stored text is copied once the choice of parentheses is made.
     """
     if not isinstance(s, _Node):
         raise TypeError(f"not a strategy: {s!r}")
@@ -481,8 +482,7 @@ def print_strategy(s: Strat) -> str:
 
 def _print(s: Strat) -> str:
     parts: list[str] = []
-    spans: dict[tuple, tuple[int, int]] = {}
-    leaves: dict[Strat, str] = {}
+    spans: dict[Strat, tuple[int, int]] = {}
     opens: dict[Strat, bool] = {}
     stack: list = [(s, _CHOICE, False)]
     push = stack.append
@@ -492,42 +492,38 @@ def _print(s: Strat) -> str:
             parts.append(item)
             continue
         if len(item) == 2:
-            # (pair, start): the pair's text is complete
+            # (node, start): the node's text is complete
             spans[item[0]] = (item[1], len(parts))
             continue
         node, min_prec, followed = item
         cls = type(node)
-        # leaves never need parentheses
+        # variables and failure are their names
         if cls is SVar:
             parts.append(node.name)
-            continue
-        if cls is Ins:
-            text = leaves.get(node)
-            if text is None:
-                text = leaves[node] = f"ins <{print_context(node.ctx)}>"
-            parts.append(text)
             continue
         if cls is SFail:
             parts.append("fail")
             continue
-        span = spans.get(item)
-        if span is not None:
-            parts += parts[span[0] : span[1]]
-            continue
         # pieces go on the stack last first
         if (cls is Choice and min_prec > _CHOICE) or (followed and _right_open(node, opens)):
-            push((item, len(parts)))
             push(")")
             push((node, _CHOICE, False))
             push("(")
             continue
-        # unparenthesized, a node prints as on its own: a stored text is copied
+        # unparenthesized, a node prints as on its own: a stored text, or the
+        # node's text from earlier in this print, is copied
         text = node.printed
         if text is not None:
             parts.append(text)
             continue
-        push((item, len(parts)))
-        if cls is Guard:
+        span = spans.get(node)
+        if span is not None:
+            parts += parts[span[0] : span[1]]
+            continue
+        push((node, len(parts)))
+        if cls is Ins:
+            push(f"ins <{print_context(node.ctx)}>")
+        elif cls is Guard:
             push((node.body, _SEQ, followed))
             push(f"{print_term(node.pattern)} ; ")
         elif cls is Choice:

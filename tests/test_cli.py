@@ -82,7 +82,18 @@ def test_parse_error_in_a_multi_line_file_gives_line_and_column(tmp_path, capsys
         code, out, err = run(capsys, "apply", "--term", "a", "--strategy", str(bad))
         assert (code, out, err) == (2, "", f"{bad}:{where}\n")
     code, out, err = run(capsys, "apply", "--term", "g(a,\n b", "--strategy", "fail")
-    assert (code, out, err) == (2, "", "<term>:2:3: expected ')', got 'end of input'\n")
+    assert (code, out, err) == (
+        2, "", "<term>:2:3: expected ')', got 'end of input' (no file of that name; read as text)\n"
+    )
+
+
+def test_a_mistyped_file_name_is_reported_as_no_file(tmp_path, capsys):
+    good = tmp_path / "s.ces"
+    good.write_text("mu X. a ; ins <[]> + @1.X\n")
+    missing = str(tmp_path / "nothere.ces")
+    code, out, err = run(capsys, "unify", "--left", str(good), "--right", missing)
+    assert (code, out) == (2, "")
+    assert err.startswith("<right>:1:") and err.endswith(" (no file of that name; read as text)\n")
 
 
 def test_inconsistent_arities_are_rejected(capsys):
@@ -417,6 +428,15 @@ def test_unfold_map_names_each_binder_once(capsys):
         capsys, "unfold", "--strategy", "mu X. a ; ins <[]> + @1.X", "--map", "X=1,X=2"
     )
     assert (code, out, err) == (2, "", "--map: binder X given twice\n")
+
+
+def test_unfold_map_names_only_binders_of_the_strategy(capsys):
+    code, out, err = run(capsys, "unfold", "--strategy", "ins <f([])>", "--map", "Q=3")
+    assert (code, out, err) == (2, "", "--map: no binder Q in the strategy\n")
+    code, out, err = run(
+        capsys, "unfold", "--strategy", "mu X. a ; ins <[]> + @1.X", "--map", "X=1,Q=3"
+    )
+    assert (code, out, err) == (2, "", "--map: no binder Q in the strategy\n")
 
 
 def test_unfold_map_counts_must_be_decimal_digits(capsys):

@@ -286,40 +286,42 @@ def test_a_new_binder_may_take_an_input_binder_name():
 
 
 def test_a_new_binder_is_named_by_its_memory_depth(monkeypatch):
-    # each binder the engine opens under a memory of k entries is Z when k
-    # is 0 and Z{k+1} otherwise: the memory holds exactly the binders around
-    # it, named Z, Z2, ..., Zk, so the name is distinct from all of them;
-    # the inputs take Z, Z3 and Z5, which change nothing
+    # the memory is the stack of pairs whose binders are open, outermost
+    # first, and stores no name: the binder of the pair at position k is Z
+    # when k is 0 and Z{k+1} otherwise, so each name is distinct from those
+    # around it; the inputs take Z, Z3 and Z5, which change nothing
     original = engine_module._Engine.bind
-    opened = []
+    opened, reused = [], []
 
     def recorded(self, s, r, mem, left, right):
         out = original(self, s, r, mem, left, right)
         if type(out) is tuple:
             ((_, _, inner, _),) = out[1]
-            ((_, _, z),) = inner - mem
-            opened.append((s, r, mem, z))
+            # a new binder pushes its pair: it is the last entry
+            assert type(inner) is tuple and inner == mem + ((s, r),)
+            opened.append((len(mem), out[0](FAIL_S).var))
+        else:
+            reused.append((mem.index((s, r)), out.name))
         return out
 
     monkeypatch.setattr(engine_module._Engine, "bind", recorded)
     s = parse_strategy("mu Z. (a ; ins <f([])>) + @1.Z")
     r = parse_strategy("mu Z3. (mu Z5. (f(?x) ; ins <f([])>) + most(Z5)) + @1.Z3")
     unify(s, r, simplify_output=False)
-    assert {"Z", "Z2", "Z3"} <= {z for *_, z in opened}
+    assert {"Z", "Z2", "Z3"} <= {z for _, z in opened}
     cfg = GenConfig(seed=21)
     for i in range(30):
         a, b = gen_strategy(cfg, 2 * i), gen_strategy(cfg, 2 * i + 1)
         combine(combine(a, b, simplify_output=False), b, simplify_output=False)
-    assert len(opened) > 100
+    assert len(opened) > 100 and reused
     # a name is taken again by other sub-problems, unlike a call-wide draw
-    assert len({z for *_, z in opened}) < len(opened)
+    assert len({z for _, z in opened}) < len(opened)
 
     def named(k: int) -> str:
         return f"Z{k + 1}" if k else "Z"
 
-    for s, r, mem, z in opened:
-        assert {name for *_, name in mem} == {named(k) for k in range(len(mem))}
-        assert z == named(len(mem))
+    for k, z in opened + reused:
+        assert z == named(k)
 
 
 def test_identical_binder_names_are_separated():
@@ -700,7 +702,7 @@ def _measure_from_phi(left, right, memory, closures: dict) -> tuple:
     mu_r = {x for x in phi_r if isinstance(x, Mu)}
     relevant = sum(
         1
-        for a, b, _ in memory
+        for a, b in memory
         if (a in mu_l and b in phi_r and not isinstance(b, SVar))
         or (a in phi_l and not isinstance(a, SVar) and b in mu_r)
     )

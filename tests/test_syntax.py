@@ -450,6 +450,22 @@ def test_printer_shared_nodes_and_settings():
         print_strategy("X")
 
 
+def test_a_node_in_two_settings_is_worked_out_once(monkeypatch):
+    # the guard is right-open: followed by more of the choice it is printed
+    # in parentheses, last it is printed bare, and its text is the same
+    guard = parse_strategy("g(?x, ?y) ; mu X. ins <[]> + @1.X")
+    s = Choice(Choice(guard, Ins(TAU_I)), guard)
+    assert guard.printed is None and s.printed is None
+    patterns = []
+    inner = syntax.print_term
+    monkeypatch.setattr(syntax, "print_term", lambda t: patterns.append(t) or inner(t))
+    text = print_strategy(s)
+    assert patterns.count(guard.pattern) == 1
+    shown = "g(?x,?y) ; mu X. ins <[]> + @1.X"
+    assert text == f"({shown}) + ins <list([],i)> + {shown}"
+    assert text == reference_print(s) and parse_strategy(text) is s
+
+
 DEEP = 10_000
 
 
