@@ -118,6 +118,11 @@ def _store(key: Key, out: Strat) -> None:
     _solved[key] = out
 
 
+def _binder(k: int) -> str:
+    """The name of the binder open for the memory's pair at depth ``k``."""
+    return f"Z{k + 1}" if k else "Z"
+
+
 # ---------------------------------------------------------------------------
 # closures
 # ---------------------------------------------------------------------------
@@ -338,20 +343,19 @@ class _Engine:
 
     def combine_conjs(self, s: Strat, r: Strat, mem: tuple) -> Output:
         """Rules 4b, 7b and 7c: ``s`` and ``r`` as maps, entry by entry; an
-        index both maps use opens the joint of its two entries.  A Most
-        reads as its body at every child index and an insertion as its root
-        entry (index None).  Each side is read into a dict once: every map a
-        call reaches belongs to an admissible input or to its one-step
-        unfolding, so its indices are distinct."""
-        lmap, rmap = (
-            dict.fromkeys(range(1, self.arity_bound + 1), x.body) if isinstance(x, Most)
-            else dict(x.entries) if isinstance(x, Conj) else {None: x}
-            for x in (s, r)
-        )
+        index both maps use opens the joint of its two entries.  Each side
+        is read into a dict once (``as_map``): every map a call reaches
+        belongs to an admissible input or to its one-step unfolding, so its
+        indices are distinct."""
+        lmap, rmap = self.as_map(s), self.as_map(r)
         l_eps, r_eps = lmap.pop(None, None), rmap.pop(None, None)
         shared = [(i, b, rmap[i]) for i, b in lmap.items() if i in rmap]
-        rest = [(i, b) for i, b in lmap.items() if i not in rmap] + [(j, c) for j, c in rmap.items() if j not in lmap]
-        eps = l_eps and r_eps and Ins(merge(l_eps.ctx, r_eps.ctx, self.policy)) or l_eps or r_eps
+        rest = [(i, b) for i, b in lmap.items() if i not in rmap]
+        rest += [(j, c) for j, c in rmap.items() if j not in lmap]
+        if l_eps is not None and r_eps is not None:
+            eps = Ins(merge(l_eps.ctx, r_eps.ctx, self.policy))
+        else:
+            eps = l_eps or r_eps
         if eps is not None:
             rest.append((None, eps))
 
@@ -364,17 +368,25 @@ class _Engine:
         at = _under_gates(s, r)
         return build, tuple((b, c, mem, at + (k, 1, 1)) for k, (_, b, c) in enumerate(shared, 1))
 
+    def as_map(self, x: Strat) -> dict:
+        """``x`` as a map from index to entry: a Most is its body at every
+        child index, a Conj its entries, an insertion its root entry."""
+        if isinstance(x, Most):
+            return dict.fromkeys(range(1, self.arity_bound + 1), x.body)
+        if isinstance(x, Conj):
+            return dict(x.entries)
+        return {None: x}
+
     def bind(self, s: Strat, r: Strat, mem: tuple, left: Strat, right: Strat) -> Output:
         """The variable of the binder open for the pair (s, r), or a new
         binder for it whose body solves (left, right).  The memory is the
-        stack of pairs whose binders are open around it, and the binder of
-        the pair at depth k is named Z when k is 0 and Z{k+1} otherwise; a
-        new binder pushes its pair."""
+        stack of pairs whose binders are open around it, and a binder is
+        named by its pair's depth (``_binder``); a new binder pushes its
+        pair."""
         pair = (s, r)
-        k = mem.index(pair) if pair in mem else len(mem)
-        z = f"Z{k + 1}" if k else "Z"
-        if k < len(mem):
-            return SVar(z)
+        if pair in mem:
+            return SVar(_binder(mem.index(pair)))
+        z = _binder(len(mem))
         return lambda body: Mu(z, body), ((left, right, mem + (pair,), (1,)),)
 
     def step(self, s: Strat, r: Strat, mem: tuple) -> tuple[str, Output]:
